@@ -7,6 +7,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <queue>
+#include <tuple>
+#include <vector>
 
 #include "src/api/ulib.h"
 #include "src/kern/kernel.h"
@@ -586,6 +590,57 @@ void BM_ThreadScale(benchmark::State& state) {
 BENCHMARK(BM_ThreadScale)
     ->ArgsProduct({{1000, 20000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+// The timing wheel alone with N armed sleepers (Args: N, mode), in steady
+// state. Mode 0 is c1m's pattern: fire the earliest timeout, ask for the
+// next deadline, which recomputes NextDeadline() after its cached minimum
+// was popped, and re-arm the sleeper one sleep later. Mode 1 cancels the
+// earliest timeout instead of firing it (an interrupted sleep), so the
+// recompute meets a slot whose minimum went stale. Sleeps are uniform over
+// ~1 s of virtual time, which puts most sleepers in a few level-2 and
+// level-3 slots.
+void BM_TimerWheelChurn(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool cancel = state.range(1) != 0;
+  TimerWheel w;
+  std::vector<TimerWheel::Entry*> entries(n);
+  // Mode 1 must name the earliest entry, not just its deadline: a
+  // (when, seq, index) min-heap mirrors the wheel's fire order.
+  using Key = std::tuple<Time, uint64_t, size_t>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> order;
+  uint64_t rng = 0x9e3779b97f4a7c15ull;  // xorshift64
+  uint64_t seq = 0;
+  auto arm = [&](size_t i, Time now) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    const Time when = now + 1 + rng % (Time{1} << 30);
+    entries[i] = w.Arm(when, seq, nullptr, i);  // token = sleeper index
+    if (cancel) order.emplace(when, seq, i);
+    ++seq;
+  };
+  for (size_t i = 0; i < n; ++i) arm(i, 0);
+  for (auto _ : state) {
+    const Time now = w.NextDeadline();  // cached by the previous iteration
+    size_t i;
+    if (cancel) {
+      i = std::get<2>(order.top());
+      order.pop();
+      w.Cancel(entries[i]);
+      benchmark::DoNotOptimize(w.PeekDue(now));  // advance the cursor
+    } else {
+      TimerWheel::Entry* e = w.PopDue(now);
+      i = static_cast<size_t>(e->token);
+      w.Free(e);
+    }
+    // The minimum just left: recompute, as the dispatch loop does before
+    // the woken thread runs and sleeps again.
+    benchmark::DoNotOptimize(w.NextDeadline());
+    arm(i, now);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TimerWheelChurn)->ArgsProduct({{1000, 100000}, {0, 1}});
 
 // The MP epoch dispatcher at N simulated CPUs (Arg: N) on the sharded c1m
 // workload, parallel backend. Measures HOST time for a full

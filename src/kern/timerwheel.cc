@@ -6,12 +6,6 @@
 
 namespace fluke {
 
-namespace {
-
-constexpr uint64_t kSlotMask = (1u << 6) - 1;
-
-}  // namespace
-
 TimerWheel::Entry* TimerWheel::AllocEntry() {
   if (free_list_ == nullptr) {
     chunks_.push_back(std::make_unique<Entry[]>(kChunkEntries));
@@ -36,6 +30,7 @@ void TimerWheel::Free(Entry* e) {
 
 TimerWheel::Entry* TimerWheel::Arm(Time when, uint64_t seq, Thread* t,
                                    uint64_t token) {
+  if (slots_ == nullptr) slots_ = std::make_unique<Slots>();
   Entry* e = AllocEntry();
   e->when = when;
   e->seq = seq;
@@ -44,10 +39,9 @@ TimerWheel::Entry* TimerWheel::Arm(Time when, uint64_t seq, Thread* t,
   e->prev = e->next = nullptr;
   Place(e);
   ++live_;
-  if (!cached_min_valid_ || when < cached_min_) {
-    cached_min_ = when;
-    cached_min_valid_ = true;
-  }
+  // An invalid cache stays invalid: `when` is the minimum only if it beats
+  // a known one.
+  if (cached_min_valid_ && when < cached_min_) cached_min_ = when;
   return e;
 }
 
@@ -65,36 +59,45 @@ void TimerWheel::Place(Entry* e) {
          (delta >> (kSlotBits * (level + 1))) != 0) {
     ++level;
   }
-  if (level >= kLevels) {
-    e->level = Entry::kOverflow;
-    e->next = overflow_;
-    e->prev = nullptr;
-    if (overflow_ != nullptr) overflow_->prev = e;
-    overflow_ = e;
-    return;
-  }
-  PushSlot(e, level, static_cast<int>((tick >> (kSlotBits * level)) & kSlotMask));
+  const int slot =
+      level == kOverflowRow
+          ? 0
+          : static_cast<int>((tick >> (kSlotBits * level)) & kSlotMask);
+  PushSlot(e, level, slot);
 }
 
 void TimerWheel::PushSlot(Entry* e, int level, int slot) {
+  const uint64_t bit = 1ull << slot;
+  Time& min = slots_->min[level][slot];
+  if ((occupied_[level] & bit) == 0) {
+    min = e->when;
+    slots_->stale[level] &= ~bit;
+  } else {
+    min = std::min(min, e->when);
+  }
   e->level = static_cast<int8_t>(level);
   e->slot = static_cast<uint8_t>(slot);
   e->prev = nullptr;
-  e->next = slots_[level][slot];
+  e->next = slots_->head[level][slot];
   if (e->next != nullptr) e->next->prev = e;
-  slots_[level][slot] = e;
-  occupied_[level] |= 1ull << slot;
+  slots_->head[level][slot] = e;
+  occupied_[level] |= bit;
 }
 
 void TimerWheel::UnlinkSlot(Entry* e) {
   if (e->prev != nullptr) {
     e->prev->next = e->next;
   } else {
-    slots_[e->level][e->slot] = e->next;
+    slots_->head[e->level][e->slot] = e->next;
     if (e->next == nullptr) occupied_[e->level] &= ~(1ull << e->slot);
   }
   if (e->next != nullptr) e->next->prev = e->prev;
   e->prev = e->next = nullptr;
+  // Removing the chain's minimum leaves a lower bound; NextDeadline
+  // rescans the chain if it ever needs this slot's exact minimum.
+  if (e->when == slots_->min[e->level][e->slot]) {
+    slots_->stale[e->level] |= 1ull << e->slot;
+  }
 }
 
 void TimerWheel::PushDueSoon(Entry* e) {
@@ -107,25 +110,14 @@ void TimerWheel::Cancel(Entry* e) {
   assert(e->level != Entry::kFree && e->level != Entry::kCancelled);
   --live_;
   if (cached_min_valid_ && e->when == cached_min_) cached_min_valid_ = false;
-  switch (e->level) {
-    case Entry::kDueSoon:
-      // Inside the heap: mark dead, reaped when it surfaces. The window is
-      // tiny (entries whose slot the cursor already crossed).
-      e->level = Entry::kCancelled;
-      e->thread = nullptr;
-      return;
-    case Entry::kOverflow:
-      if (e->prev != nullptr) {
-        e->prev->next = e->next;
-      } else {
-        overflow_ = e->next;
-      }
-      if (e->next != nullptr) e->next->prev = e->prev;
-      break;
-    default:
-      UnlinkSlot(e);
-      break;
+  if (e->level == Entry::kDueSoon) {
+    // Inside the heap: mark dead, reaped when it surfaces. The window is
+    // tiny (entries whose slot the cursor already crossed).
+    e->level = Entry::kCancelled;
+    e->thread = nullptr;
+    return;
   }
+  UnlinkSlot(e);
   Free(e);
 }
 
@@ -138,8 +130,8 @@ void TimerWheel::SkimDueSoon() {
 }
 
 void TimerWheel::FlushLevel0Slot(int slot) {
-  Entry* e = slots_[0][slot];
-  slots_[0][slot] = nullptr;
+  Entry* e = slots_->head[0][slot];
+  slots_->head[0][slot] = nullptr;
   occupied_[0] &= ~(1ull << slot);
   while (e != nullptr) {
     Entry* next = e->next;
@@ -149,16 +141,27 @@ void TimerWheel::FlushLevel0Slot(int slot) {
 }
 
 void TimerWheel::CascadeSlot(int level, int slot) {
-  Entry* e = slots_[level][slot];
-  slots_[level][slot] = nullptr;
+  if ((occupied_[level] & (1ull << slot)) == 0) return;
+  Entry* e = slots_->head[level][slot];
+  slots_->head[level][slot] = nullptr;
   occupied_[level] &= ~(1ull << slot);
   while (e != nullptr) {
     Entry* next = e->next;
     e->prev = e->next = nullptr;
-    Place(e);  // re-place by remaining delta: lands in a lower level
+    Place(e);  // re-place by remaining delta: a lower level, or overflow again
     ++*cascades_;
     e = next;
   }
+}
+
+uint64_t TimerWheel::FirstBusyWindow(int level) const {
+  // Level 0: slots pos..pos+63 map to ticks cur..cur+63. Higher levels:
+  // the slot at the cursor position was cascaded when the cursor arrived
+  // there, so an occupied bit at `pos` means one full rotation away and
+  // the scan starts one slot later.
+  const uint64_t first = (cur_tick_ >> (kSlotBits * level)) + (level > 0);
+  const int pos = static_cast<int>(first & kSlotMask);
+  return first + std::countr_zero(std::rotr(occupied_[level], pos));
 }
 
 uint64_t TimerWheel::NextBusyTick(uint64_t bound) const {
@@ -169,28 +172,10 @@ uint64_t TimerWheel::NextBusyTick(uint64_t bound) const {
   // advances instead of stepping 1 us at a time.
   uint64_t best = bound;
   for (int level = 0; level < kLevels; ++level) {
-    const uint64_t bm = occupied_[level];
-    if (bm == 0) continue;
-    const int pos =
-        static_cast<int>((cur_tick_ >> (kSlotBits * level)) & kSlotMask);
-    uint64_t at;
-    if (level == 0) {
-      // Level 0: slots pos..pos+63 map to ticks cur..cur+63.
-      const int dist = std::countr_zero(std::rotr(bm, pos));
-      at = cur_tick_ + static_cast<uint64_t>(dist);
-    } else {
-      // Higher levels: the slot at the cursor position was cascaded when
-      // the cursor arrived there, so an occupied bit at `pos` means one
-      // full rotation away. Work happens when the cursor reaches the
-      // window start: a multiple of 64^level.
-      const int dist =
-          std::countr_zero(std::rotr(bm, (pos + 1) & kSlotMask)) + 1;
-      const uint64_t base = cur_tick_ >> (kSlotBits * level);
-      at = (base + static_cast<uint64_t>(dist)) << (kSlotBits * level);
-    }
-    best = std::min(best, at);
+    if (occupied_[level] == 0) continue;
+    best = std::min(best, FirstBusyWindow(level) << (kSlotBits * level));
   }
-  if (overflow_ != nullptr) {
+  if (occupied_[kOverflowRow] != 0) {
     const uint64_t rot = 1ull << (kSlotBits * kLevels);
     const uint64_t wrap = ((cur_tick_ >> (kSlotBits * kLevels)) + 1) *rot;
     best = std::min(best, wrap);
@@ -203,25 +188,18 @@ void TimerWheel::ProcessBoundaries() {
   // first so re-placed entries land in already-open windows. Re-cascading a
   // boundary is harmless: the slot is empty after the first pass, and any
   // entry armed into the cursor slot since (one rotation out) is simply
-  // re-placed correctly relative to the cursor.
+  // re-placed correctly relative to the cursor. Every level >= 1 boundary
+  // and every overflow wrap is a multiple of kSlots ticks.
+  if ((cur_tick_ & kSlotMask) != 0) return;
   for (int level = kLevels - 1; level >= 1; --level) {
     const uint64_t span = kSlotBits * level;
     if ((cur_tick_ & ((1ull << span) - 1)) == 0) {
       CascadeSlot(level, static_cast<int>((cur_tick_ >> span) & kSlotMask));
     }
   }
-  if ((cur_tick_ & ((1ull << (kSlotBits * kLevels)) - 1)) == 0 &&
-      overflow_ != nullptr) {
+  if ((cur_tick_ & ((1ull << (kSlotBits * kLevels)) - 1)) == 0) {
     // Top-level wrap: overflow entries may now fit in the wheel.
-    Entry* e = overflow_;
-    overflow_ = nullptr;
-    while (e != nullptr) {
-      Entry* next = e->next;
-      e->prev = e->next = nullptr;
-      Place(e);
-      ++*cascades_;
-      e = next;
-    }
+    CascadeSlot(kOverflowRow, 0);
   }
 }
 
@@ -247,7 +225,7 @@ void TimerWheel::Collect(Time now) {
       continue;  // handle boundaries at the landing tick first
     }
     const int slot0 = static_cast<int>(cur_tick_ & kSlotMask);
-    if (slots_[0][slot0] != nullptr) FlushLevel0Slot(slot0);
+    if ((occupied_[0] & (1ull << slot0)) != 0) FlushLevel0Slot(slot0);
     ++cur_tick_;
   }
 }
@@ -269,6 +247,19 @@ TimerWheel::Entry* TimerWheel::PopDue(Time now) {
   return e;
 }
 
+Time TimerWheel::SlotMin(int level, int slot) {
+  const uint64_t bit = 1ull << slot;
+  Time& min = slots_->min[level][slot];
+  if ((slots_->stale[level] & bit) != 0) {
+    min = ~Time{0};
+    for (Entry* e = slots_->head[level][slot]; e != nullptr; e = e->next) {
+      min = std::min(min, e->when);
+    }
+    slots_->stale[level] &= ~bit;
+  }
+  return min;
+}
+
 Time TimerWheel::NextDeadline() {
   assert(live_ > 0);
   if (cached_min_valid_) return cached_min_;
@@ -279,23 +270,12 @@ Time TimerWheel::NextDeadline() {
   Time best = ~Time{0};
   if (!due_soon_.empty()) best = due_soon_.top()->when;
   for (int level = 0; level < kLevels; ++level) {
-    const uint64_t bm = occupied_[level];
-    if (bm == 0) continue;
-    const int pos =
-        static_cast<int>((cur_tick_ >> (kSlotBits * level)) & kSlotMask);
-    int dist;
-    if (level == 0) {
-      dist = std::countr_zero(std::rotr(bm, pos));
-    } else {
-      dist = std::countr_zero(std::rotr(bm, (pos + 1) & kSlotMask)) + 1;
-    }
-    const int slot = (pos + dist) & static_cast<int>(kSlotMask);
-    for (Entry* e = slots_[level][slot]; e != nullptr; e = e->next) {
-      best = std::min(best, e->when);
-    }
+    if (occupied_[level] == 0) continue;
+    const int slot = static_cast<int>(FirstBusyWindow(level) & kSlotMask);
+    best = std::min(best, SlotMin(level, slot));
   }
-  for (Entry* e = overflow_; e != nullptr; e = e->next) {
-    best = std::min(best, e->when);
+  if (occupied_[kOverflowRow] != 0) {
+    best = std::min(best, SlotMin(kOverflowRow, 0));
   }
   cached_min_ = best;
   cached_min_valid_ = true;

@@ -11,7 +11,8 @@
 // ns (~1 us) and each higher level spans kSlots times the one below. An
 // entry is placed by its delta from the wheel cursor; as the cursor crosses
 // a higher-level slot boundary that slot's entries cascade down. Entries
-// whose delta exceeds the whole wheel sit on an overflow list.
+// whose delta exceeds the whole wheel sit on an overflow list, kept as the
+// single slot of one extra row so it shares the slots' bookkeeping.
 //
 // Determinism contract. The kernel fires timers merged with the EventQueue
 // in global (deadline, seq) order, with seqs minted from the EventQueue's
@@ -22,6 +23,21 @@
 // order is a total order independent of slot geometry. NextDeadline() is
 // exact (never rounded to slot granularity): the idle dispatch loop
 // advances virtual time to precisely the value it returns.
+//
+// NextDeadline cost. Slot order is time order within a level, so the
+// earliest deadline is the minimum over the due-soon heap top, the first
+// occupied slot of each level and the overflow list. Each slot keeps the
+// minimum `when` of its chain, maintained on push, so a recompute is
+// O(kLevels) bitmap and array reads with no chain walk. Cancel stays O(1):
+// cancelling a chain's minimum only marks that slot stale, and the next
+// NextDeadline() that needs it rescans that one chain once. A burst of
+// cancels costs one rescan, not one per cancel. Between recomputes the
+// answer is cached.
+//
+// Storage. The slot heads, minima and stale bitmaps live in one block
+// allocated on the first Arm(). The wheel is a by-value Kernel member, and
+// most kernels (the Table 5 apps among them) never arm a timeout, so they
+// never pay for constructing or touching the block.
 
 #ifndef SRC_KERN_TIMERWHEEL_H_
 #define SRC_KERN_TIMERWHEEL_H_
@@ -46,12 +62,11 @@ class TimerWheel {
     uint64_t token = 0;  // sleep_token snapshot at arm time
     Entry* prev = nullptr;
     Entry* next = nullptr;
-    int8_t level = kFree;  // slot level, or one of the sentinels below
+    int8_t level = kFree;  // slot row, or one of the sentinels below
     uint8_t slot = 0;
 
     static constexpr int8_t kFree = -1;      // on the free list / popped
     static constexpr int8_t kDueSoon = -2;   // in the due-soon heap
-    static constexpr int8_t kOverflow = -3;  // on the overflow list
     static constexpr int8_t kCancelled = -4; // lazily dead inside the heap
   };
 
@@ -72,7 +87,8 @@ class TimerWheel {
   bool empty() const { return live_ == 0; }
   uint64_t size() const { return live_; }
 
-  // Exact earliest pending deadline; only valid when !empty().
+  // Exact earliest pending deadline; only valid when !empty(). O(kLevels)
+  // when the cached answer was invalidated (see "NextDeadline cost").
   Time NextDeadline();
 
   // The due (when <= now) entry with the smallest (when, seq), or null.
@@ -111,7 +127,11 @@ class TimerWheel {
   static constexpr int kGranBits = 10;  // level-0 slot = 1024 ns
   static constexpr int kSlotBits = 6;   // 64 slots per level
   static constexpr int kSlots = 1 << kSlotBits;
+  static constexpr uint64_t kSlotMask = kSlots - 1;
   static constexpr int kLevels = 8;     // covers 2^58 ns (~9 years)
+  // Entries beyond the wheel's coverage: slot 0 of this extra row,
+  // re-placed whenever the cursor wraps the top level.
+  static constexpr int kOverflowRow = kLevels;
 
   struct ByWhenSeq {
     bool operator()(const Entry* a, const Entry* b) const {
@@ -119,9 +139,20 @@ class TimerWheel {
     }
   };
 
+  // Per-slot state, rows 0..kLevels-1 plus the overflow row. min[l][s] is
+  // exact for an occupied slot unless its bit in stale[l] is set; a stale
+  // minimum is a lower bound (a cancelled entry's `when`). Both are reset
+  // by the first push into an empty slot, so emptying a slot (flush,
+  // cascade, cancel) need not touch them.
+  struct Slots {
+    Entry* head[kLevels + 1][kSlots] = {};
+    Time min[kLevels + 1][kSlots];
+    uint64_t stale[kLevels + 1] = {};
+  };
+
   Entry* AllocEntry();
-  // Links `e` into the slot for `tick` (level chosen by delta from the
-  // cursor), the overflow list, or the due-soon heap when already due.
+  // Links `e` into the slot for its tick (level chosen by delta from the
+  // cursor), the overflow row, or the due-soon heap when already due.
   void Place(Entry* e);
   void PushSlot(Entry* e, int level, int slot);
   void UnlinkSlot(Entry* e);
@@ -134,7 +165,7 @@ class TimerWheel {
   // PeekDue() with a non-empty wheel: collect, skim, inspect the heap top.
   Entry* PeekDueSlow(Time now);
   // Flushes one slot's chain into the due-soon heap (level 0) or re-places
-  // its entries (higher levels / overflow).
+  // its entries (higher levels and the overflow row).
   void FlushLevel0Slot(int slot);
   void CascadeSlot(int level, int slot);
   // Cascades every level whose window boundary the cursor sits on (and
@@ -143,10 +174,15 @@ class TimerWheel {
   void ProcessBoundaries();
   // Next tick at which the wheel has any work, or `bound` if none before.
   uint64_t NextBusyTick(uint64_t bound) const;
+  // Absolute level-`level` window index (tick >> kSlotBits * level) of the
+  // level's first occupied slot in time order; occupied_[level] != 0.
+  uint64_t FirstBusyWindow(int level) const;
+  // Exact minimum `when` of an occupied slot's chain, rescanning the chain
+  // once if a cancel left its cached minimum stale.
+  Time SlotMin(int level, int slot);
 
-  Entry* slots_[kLevels][kSlots] = {};
-  uint64_t occupied_[kLevels] = {};  // per-level non-empty-slot bitmaps
-  Entry* overflow_ = nullptr;
+  std::unique_ptr<Slots> slots_;         // allocated by the first Arm()
+  uint64_t occupied_[kLevels + 1] = {};  // per-row non-empty-slot bitmaps
   std::priority_queue<Entry*, std::vector<Entry*>, ByWhenSeq> due_soon_;
 
   uint64_t cur_tick_ = 0;  // ticks < cur_tick_ fully collected

@@ -286,6 +286,25 @@ TEST_P(SchedTest, C1mScheduleDigestIdenticalUnderMp) {
   EXPECT_GT(a.sched_bitmap_scans, 0u);
 }
 
+// Golden values for c1m:20000 in the default configuration (Process NP,
+// one CPU), as `fluke_run --workload=c1m:20000 --stats` prints them. The
+// timing wheel's placement decides timer_cascades, and its fire order and
+// exact NextDeadline() decide the virtual end time; a wheel change that
+// moves either is a results change and must update these numbers on
+// purpose.
+TEST(SchedGolden, C1m20000TimerCountersAndEndTime) {
+  C1mParams p;
+  p.clients = 20000;
+  const C1mResult r = RunC1m(KernelConfig{}, p);
+  ASSERT_TRUE(r.app.completed);
+  EXPECT_EQ(r.app.elapsed_ns, 740044530u);
+  EXPECT_EQ(r.app.stats.timer_arms, 60001u);
+  EXPECT_EQ(r.app.stats.timer_cancels, 1194u);
+  EXPECT_EQ(r.app.stats.timer_cascades, 77335u);
+  EXPECT_EQ(r.app.stats.syscalls, 328648u);
+  EXPECT_EQ(r.app.stats.context_switches, 264872u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllConfigs, SchedTest, testing::ValuesIn(AllPaperConfigs()),
                          ConfigName);
 
