@@ -646,10 +646,10 @@ BENCHMARK(BM_TimerWheelChurn)->ArgsProduct({{1000, 100000}, {0, 1}});
 // workload, parallel backend. Measures HOST time for a full
 // build-boot-storm-quiesce cycle; speedup_vs_1cpu is host throughput
 // relative to the N=1 run of the same process (benchmarks run in
-// registration order, so the 1-CPU baseline always lands first). On a
-// single-core host the parallel backend cannot beat 1x -- the counter then
-// records the honest epoch-machinery overhead rather than a win; see
-// EXPERIMENTS.md.
+// registration order, so the 1-CPU baseline always lands first). c1m's
+// bursts are a few instructions, so the parallel backend runs almost every
+// round inline and the counter records the epoch machinery's cost, not a
+// parallel win; see EXPERIMENTS.md.
 void BM_MpScale(benchmark::State& state) {
   KernelConfig cfg;
   cfg.num_cpus = static_cast<int>(state.range(0));
@@ -679,6 +679,57 @@ void BM_MpScale(benchmark::State& state) {
   state.counters["cross_cpu_ipc"] = static_cast<double>(last.app.stats.cross_cpu_ipc);
 }
 BENCHMARK(BM_MpScale)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// The MP compute workload at N simulated CPUs (Arg: N): one ALU-loop thread
+// per CPU whose bursts run thousands of cycles, the case MpPool exists for.
+// Every iteration runs the workload on both MP backends, alternating which
+// goes first; the reported (manual) time is the parallel run, and
+// speedup_vs_mp_serial is serial host time over parallel host time. At one
+// CPU both backends are the same single-CPU dispatcher, so the ratio there
+// is the noise floor.
+void BM_MpCompute(benchmark::State& state) {
+  KernelConfig cfg;
+  cfg.num_cpus = static_cast<int>(state.range(0));
+  MpComputeParams p;
+  p.passes = 320;
+  double secs[2] = {0, 0};  // [serial, parallel]
+  AppResult last;
+  uint64_t pool_rounds = 0;
+  bool parallel_first = false;
+  for (auto _ : state) {
+    for (bool parallel : {parallel_first, !parallel_first}) {
+      cfg.mp_parallel = parallel;
+      const auto t0 = std::chrono::steady_clock::now();
+      last = RunMpCompute(cfg, p);
+      const double d =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      if (!last.completed) {
+        state.SkipWithError("compute workload did not finish within its virtual budget");
+        return;
+      }
+      benchmark::DoNotOptimize(last.stats.user_instructions);
+      secs[parallel] += d;
+      if (parallel) {
+        state.SetIterationTime(d);
+        pool_rounds = last.stats.mp_pool_rounds;
+      }
+    }
+    parallel_first = !parallel_first;
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * last.stats.user_instructions));
+  state.counters["host_ms_per_run"] = secs[1] / n * 1e3;
+  state.counters["serial_ms_per_run"] = secs[0] / n * 1e3;
+  state.counters["speedup_vs_mp_serial"] = secs[1] > 0 ? secs[0] / secs[1] : 0;
+  state.counters["mp_pool_rounds"] = static_cast<double>(pool_rounds);
+}
+BENCHMARK(BM_MpCompute)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace fluke

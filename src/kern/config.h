@@ -109,11 +109,14 @@ struct KernelConfig {
   // merge in CPU order. Smaller epochs tighten device-timer latency bounds;
   // larger epochs amortize barrier cost. Irrelevant when num_cpus == 1.
   uint64_t mp_epoch_ns = 100 * 1000;
-  // Execute multi-CPU epochs on host worker threads (one per simulated CPU)
-  // instead of a serial per-CPU loop. Both backends run the identical epoch
-  // schedule and are bit-identical (tested by tests/mp_test.cc); serial
-  // exists for that A/B check and is forced whenever instrumentation
-  // (fault plan / trace) is live, mirroring the fast_path rule.
+  // Let multi-CPU epochs run user bursts on host worker threads (one per
+  // simulated CPU beyond the first) instead of a serial per-CPU loop. Even
+  // then a round goes to the workers only when at least two of its bursts
+  // are predicted long (kMpPoolMinBurstCycles in src/kern/dispatch.cc);
+  // short rounds run inline. Both backends run the identical epoch schedule
+  // and are bit-identical (tested by tests/mp_test.cc); serial exists for
+  // that A/B check and is forced whenever instrumentation (fault plan /
+  // trace) is live, mirroring the fast_path rule.
   bool mp_parallel = true;
   // Deterministic fault injection; inert unless fault_plan.enabled and the
   // injector is armed (tests arm it after host-side setup).

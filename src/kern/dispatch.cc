@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <thread>
 
 #include "src/kern/kernel.h"
 #include "src/kern/legacy.h"
@@ -684,10 +685,19 @@ void Kernel::HandlePseudoSyscall(Thread* t, uint32_t sys) {
 // stat-shard folds -- happens in the serial phases in deterministic CPU
 // order, so the parallel backend produces bit-identical schedules, stats and
 // digests to the serial backend (cfg.mp_parallel = false runs phase A on a
-// for-loop instead of the pool; nothing else differs).
+// for-loop instead of the pool; nothing else differs). The parallel backend
+// itself runs a round on that same for-loop unless at least two of its
+// bursts are predicted long (Cpu::burst_hint, kMpPoolMinBurstCycles).
 // ---------------------------------------------------------------------------
 
 namespace {
+
+// Shortest predicted burst, in cycles, that is worth a pool round: the
+// burst length at which handing a round to MpPool and joining it costs as
+// much host time as the overlapped work saves. Measured on a 4-vCPU Xeon
+// VM with the threaded engine; EXPERIMENTS.md "Parallel speedup" has the
+// sweep.
+constexpr uint64_t kMpPoolMinBurstCycles = 2048;
 
 inline uint64_t FnvMix(uint64_t h, uint64_t v) {
   h ^= v;
@@ -861,21 +871,28 @@ bool Kernel::MpAdvance(Cpu& c, Time horizon) {
   return false;
 }
 
+void Kernel::MpRunBurst(Cpu& c) {
+  Thread* t = c.current;
+  c.burst = RunUser(*t->program, &t->regs, t->space, c.burst_budget, c.interp_opts);
+}
+
 void Kernel::MpRunBursts(bool parallel) {
   int staged[kMaxCpus];
   int n = 0;
+  int n_long = 0;
   for (Cpu& c : cpus_) {
     if (c.burst_budget != 0) {
       staged[n++] = c.id;
+      n_long += std::min(c.burst_hint, c.burst_budget) >= kMpPoolMinBurstCycles;
     }
   }
-  auto run_one = [this](Cpu& c) {
-    Thread* t = c.current;
-    c.burst = RunUser(*t->program, &t->regs, t->space, c.burst_budget, c.interp_opts);
-  };
-  if (!parallel || n <= 1) {
+  // Fan out only when two bursts are predicted to overlap long enough to
+  // pay for the round; a round of short bursts (c1m's are ~4 instructions)
+  // runs inline in CPU order, exactly as the serial backend does.
+  if (!parallel || n_long < 2) {
+    ++stats.mp_inline_rounds;  // host-side only, like mp_barrier_waits
     for (int i = 0; i < n; ++i) {
-      run_one(cpus_[staged[i]]);
+      MpRunBurst(cpus_[staged[i]]);
     }
     return;
   }
@@ -896,24 +913,40 @@ void Kernel::MpRunBursts(bool parallel) {
     Cpu& c = cpus_[staged[i]];
     const Program& p = *c.current->program;
     if ((jit && !p.JitReady()) || (threaded && !p.DecodedReady())) {
-      run_one(c);
+      MpRunBurst(c);
     } else {
       par[np++] = staged[i];
     }
   }
-  if (np == 0) {
-    return;
-  }
-  if (np == 1) {
-    run_one(cpus_[par[0]]);
+  if (np <= 1) {
+    ++stats.mp_inline_rounds;
+    if (np == 1) {
+      MpRunBurst(cpus_[par[0]]);
+    }
     return;
   }
   if (mp_pool_ == nullptr) {
-    mp_pool_ = std::make_unique<MpPool>(cfg.num_cpus - 1);
+    // A worker per simulated CPU beyond the first, but no more threads than
+    // host cores: a worker that would have to be time-sliced in only slows
+    // the round, and the caller claims whatever the workers have not begun.
+    const int host = static_cast<int>(std::thread::hardware_concurrency());
+    const int threads = host > 0 ? std::min(cfg.num_cpus, host) : cfg.num_cpus;
+    mp_pool_ = std::make_unique<MpPool>(threads - 1);
   }
-  const int waited = mp_pool_->RunBatch(np, [&](int j) { run_one(cpus_[par[j]]); });
+  struct Round {
+    Kernel* k;
+    const int* cpu;
+  } round{this, par};
+  const int waited = mp_pool_->RunBatch(
+      np,
+      [](void* ctx, int j) {
+        const Round& r = *static_cast<const Round*>(ctx);
+        r.k->MpRunBurst(r.k->cpus_[r.cpu[j]]);
+      },
+      &round);
+  ++stats.mp_pool_rounds;  // host-side only; excluded from equivalence
   if (waited > 0) {
-    ++stats.mp_barrier_waits;  // host-side only; excluded from equivalence
+    ++stats.mp_barrier_waits;
   }
 }
 
@@ -927,6 +960,9 @@ void Kernel::MpConsume(Cpu& c) {
   clock.SetForMpLane(c.lane);
   Thread* t = c.current;
   const RunResult r = c.burst;
+  // A burst cut by the epoch horizon says only that the run was longer
+  // than its budget, so it never lowers the hint.
+  c.burst_hint = r.event == UserEvent::kBudget ? std::max(c.burst_hint, r.cycles) : r.cycles;
   clock.Advance(r.cycles * kNsPerCycle);
   c.digest = FnvMix(FnvMix(c.digest, clock.now()), static_cast<uint64_t>(r.event));
   switch (r.event) {

@@ -108,7 +108,8 @@ std::string DumpKernel(const Kernel& k) {
   if (k.cfg.num_cpus > 1) {
     // Semantic MP counters only: this line is compared across the serial and
     // parallel backends by the equivalence tests, so the host-side
-    // mp_barrier_waits counter deliberately stays out.
+    // mp_barrier_waits, mp_pool_rounds and mp_inline_rounds counters
+    // deliberately stay out.
     std::snprintf(line, sizeof(line),
                   "MP cpus=%d epochs=%llu cross_cpu_ipc=%llu migrations=%llu "
                   "shootdowns_remote=%llu digest=%016llx\n",
@@ -230,6 +231,8 @@ std::string StatsJson(const Kernel& k) {
   field("migrations", s.migrations);
   field("shootdowns_remote", s.shootdowns_remote);
   field("mp_barrier_waits", s.mp_barrier_waits);
+  field("mp_pool_rounds", s.mp_pool_rounds);
+  field("mp_inline_rounds", s.mp_inline_rounds);
   field("rollback_ns", s.rollback_ns);
   field("remedy_soft_ns", s.remedy_soft_ns);
   field("remedy_hard_ns", s.remedy_hard_ns);

@@ -56,6 +56,12 @@ struct Cpu {
   bool rotate = false;        // per-CPU timeslice round-robin flag
   uint64_t burst_budget = 0;  // phase-A burst slot: budget cycles in...
   RunResult burst{};          // ...RunResult out (valid while burst_budget != 0)
+  // Host-only fan-out hint: the cycle count of this CPU's previous burst.
+  // MpRunBursts predicts the staged burst as min(burst_hint, burst_budget)
+  // and uses the pool only for rounds with two or more long predictions.
+  // It picks a host execution path, never a result: both paths are
+  // bit-identical.
+  uint64_t burst_hint = 0;
   // FNV-1a accumulator over this CPU's dispatch history: (lane, tid) at
   // every pick, (lane, event) at every burst consumption. Folded in CPU
   // order by Kernel::MpDigest() -- the serial and parallel backends, both
@@ -477,6 +483,7 @@ class Kernel {
   // Runs every staged burst -- on the worker pool or a serial for-loop;
   // the results are identical by construction (bursts share no state).
   void MpRunBursts(bool parallel);
+  void MpRunBurst(Cpu& c);
   void MpMergeShards();
   Thread* PickNextOn(Cpu& c);
   Space* AffinityRep(Space* s);

@@ -200,11 +200,16 @@ struct KernelStats {
   uint64_t cross_cpu_ipc = 0;      // wakeups targeting another CPU's queue
   uint64_t migrations = 0;         // threads re-homed by affinity-domain merges
   uint64_t shootdowns_remote = 0;  // TLB shootdowns against a remote CPU's space
-  // Host-side observability only (like tlb_*): phase-A barrier joins where
-  // at least one other CPU was still running, counted by the parallel
-  // backend's workers. Zero in the serial backend -- the only MP counter
-  // allowed to differ between backends.
+  // Host-side observability only (like tlb_*), and the only MP counters
+  // allowed to differ between backends. mp_barrier_waits counts pool
+  // rounds whose workers were still running when the caller finished its
+  // own burst. Every phase-A round is either a pool round or an inline
+  // one: the serial backend runs all rounds inline, the parallel backend
+  // only those with fewer than two long bursts predicted (dispatch.cc,
+  // kMpPoolMinBurstCycles). Their sum equals the serial backend's count.
   uint64_t mp_barrier_waits = 0;
+  uint64_t mp_pool_rounds = 0;    // rounds handed to MpPool
+  uint64_t mp_inline_rounds = 0;  // rounds run in CPU order on the caller
 
   // Incremental concurrent checkpointing (src/kern/ckpt.h, workloads/
   // checkpoint.*). Semantic counters: capture runs host-side between

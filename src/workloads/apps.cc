@@ -533,4 +533,53 @@ C1mResult RunC1m(const KernelConfig& cfg, const C1mParams& p) {
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// MP compute
+// ---------------------------------------------------------------------------
+
+std::vector<Thread*> BuildMpComputeWorkload(Kernel& k, const MpComputeParams& p) {
+  constexpr uint32_t kCounter = 0x10000;  // pass counter (syscalls clobber registers)
+  Assembler a("mpcompute");
+  EmitCountedLoop(a, kCounter, p.passes, [&] {
+    a.MovImm(kRegB, 0);
+    a.MovImm(kRegC, p.iters);
+    a.MovImm(kRegD, 1);
+    const auto inner = a.NewLabel();
+    a.Bind(inner);
+    a.Add(kRegB, kRegB, kRegD);
+    a.Xor(kRegSI, kRegC, kRegD);
+    a.Shl(kRegDI, kRegC, kRegD);
+    a.And(kRegBP, kRegC, kRegD);
+    a.Or(kRegSI, kRegDI, kRegBP);
+    a.Blt(kRegB, kRegC, inner);
+    EmitSys(a, kSysNull);
+  });
+  a.Halt();
+  ProgramRef prog = a.Build();
+  std::vector<Thread*> threads;
+  for (int i = 0; i < k.cfg.num_cpus; ++i) {
+    auto sp = k.CreateSpace("mpcompute" + std::to_string(i));
+    sp->SetAnonRange(kCounter, kPageSize);
+    Prefault(sp.get(), kCounter, kPageSize);
+    Thread* t = k.CreateThread(sp.get(), prog);
+    k.StartThread(t);
+    threads.push_back(t);
+  }
+  return threads;
+}
+
+AppResult RunMpCompute(const KernelConfig& cfg, const MpComputeParams& p) {
+  Kernel k(cfg);
+  std::vector<Thread*> threads = BuildMpComputeWorkload(k, p);
+  const Time deadline = k.clock.now() + 60ull * 1000 * kNsPerMs;
+  bool completed = true;
+  for (Thread* t : threads) {
+    if (!k.RunUntilThreadDone(t, deadline - k.clock.now())) {
+      completed = false;
+      break;
+    }
+  }
+  return Collect(k, completed);
+}
+
 }  // namespace fluke

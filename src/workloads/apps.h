@@ -115,6 +115,25 @@ std::vector<Thread*> BuildC1mWorkload(Kernel& k, const C1mParams& p);
 
 C1mResult RunC1m(const KernelConfig& cfg, const C1mParams& p = {});
 
+// --- The MP compute workload (not from the paper) ---
+//
+// One ALU-loop thread per CPU, each in its own space (so each homes on its
+// own CPU). A thread runs `passes` passes of an `iters`-iteration loop of
+// five ALU ops and a branch (7 cycles per iteration), with a null syscall
+// after every pass, then halts. Its bursts run to the next syscall or the
+// epoch horizon -- thousands of cycles, against c1m's handful -- so this is
+// the workload whose phase-A rounds the parallel backend hands to MpPool.
+
+struct MpComputeParams {
+  uint32_t passes = 64;
+  uint32_t iters = 2048;  // inner loop: 12,288 instructions, 14,336 cycles
+};
+
+// Builds the workload into an existing kernel and returns its threads.
+std::vector<Thread*> BuildMpComputeWorkload(Kernel& k, const MpComputeParams& p);
+
+AppResult RunMpCompute(const KernelConfig& cfg, const MpComputeParams& p = {});
+
 }  // namespace fluke
 
 #endif  // SRC_WORKLOADS_APPS_H_

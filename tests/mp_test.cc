@@ -191,18 +191,12 @@ struct MpRun {
   uint64_t timer_arms = 0;
   uint64_t timer_cancels = 0;
   std::string dump;
+  // Host-side execution-path counters: never compared across backends.
+  uint64_t mp_pool_rounds = 0;
+  uint64_t mp_inline_rounds = 0;
 };
 
-MpRun RunC1mMp(ExecModel model, int cpus, bool parallel, bool threaded) {
-  KernelConfig cfg = MpConfig(model, cpus);
-  cfg.mp_parallel = parallel;
-  cfg.enable_threaded_interp = threaded;
-  Kernel k(cfg);
-  C1mParams p;
-  p.clients = 48;
-  p.sweep_delay_us = 3000;
-  p.park_us = 20000;
-  std::vector<Thread*> threads = BuildC1mWorkload(k, p);
+MpRun RunMpThreads(Kernel& k, const std::vector<Thread*>& threads) {
   MpRun r;
   const Time deadline = k.clock.now() + 4000 * kNsPerMs;
   for (Thread* t : threads) {
@@ -222,7 +216,31 @@ MpRun RunC1mMp(ExecModel model, int cpus, bool parallel, bool threaded) {
   r.timer_arms = k.stats.timer_arms;
   r.timer_cancels = k.stats.timer_cancels;
   r.dump = DumpKernel(k);
+  r.mp_pool_rounds = k.stats.mp_pool_rounds;
+  r.mp_inline_rounds = k.stats.mp_inline_rounds;
   return r;
+}
+
+MpRun RunC1mMp(ExecModel model, int cpus, bool parallel, bool threaded) {
+  KernelConfig cfg = MpConfig(model, cpus);
+  cfg.mp_parallel = parallel;
+  cfg.enable_threaded_interp = threaded;
+  Kernel k(cfg);
+  C1mParams p;
+  p.clients = 48;
+  p.sweep_delay_us = 3000;
+  p.park_us = 20000;
+  return RunMpThreads(k, BuildC1mWorkload(k, p));
+}
+
+MpRun RunComputeMp(ExecModel model, int cpus, bool parallel, InterpEngine engine) {
+  KernelConfig cfg = MpConfig(model, cpus);
+  cfg.mp_parallel = parallel;
+  cfg.interp_engine = engine;
+  Kernel k(cfg);
+  MpComputeParams p;
+  p.passes = 24;
+  return RunMpThreads(k, BuildMpComputeWorkload(k, p));
 }
 
 void ExpectSameRun(const MpRun& a, const MpRun& b, const char* what) {
@@ -249,6 +267,12 @@ TEST_P(MpBackendTest, SerialAndParallelBitIdenticalAcrossCpuCounts) {
     ASSERT_TRUE(par.completed) << cpus << " cpus";
     EXPECT_GT(serial.mp_epochs, 0u);
     ExpectSameRun(serial, par, "serial vs parallel");
+    // c1m's bursts are a few instructions: the parallel backend runs its
+    // rounds inline rather than paying a pool round for each.
+    EXPECT_GT(par.mp_inline_rounds, 0u) << cpus << " cpus";
+    EXPECT_EQ(serial.mp_pool_rounds, 0u) << cpus << " cpus";
+    EXPECT_EQ(serial.mp_inline_rounds, par.mp_pool_rounds + par.mp_inline_rounds)
+        << cpus << " cpus";
     // Repeat of the parallel run: host scheduling must not leak in.
     const MpRun par2 = RunC1mMp(GetParam(), cpus, /*parallel=*/true, true);
     ExpectSameRun(par, par2, "parallel repeat");
@@ -261,6 +285,30 @@ TEST_P(MpBackendTest, EnginesBitIdenticalUnderMp) {
   ASSERT_TRUE(threaded.completed);
   ASSERT_TRUE(switched.completed);
   ExpectSameRun(threaded, switched, "threaded vs switch engine");
+}
+
+// The pool path. After the fan-out gate, c1m and rpc almost never reach
+// MpPool; the compute workload's bursts run thousands of cycles to the
+// next syscall or the epoch horizon, so its rounds go to the pool and race
+// bursts on host threads (the CI TSan job runs this suite). The jit leg
+// keeps compiled bursts on worker threads covered (it runs the threaded
+// engine where the jit is unavailable).
+TEST_P(MpBackendTest, ComputeSerialAndParallelBitIdenticalOnThePoolPath) {
+  for (InterpEngine engine :
+       {InterpEngine::kThreaded, InterpEngine::kSwitch, InterpEngine::kJit}) {
+    for (int cpus : {2, 4, 8}) {
+      const MpRun serial = RunComputeMp(GetParam(), cpus, /*parallel=*/false, engine);
+      const MpRun par = RunComputeMp(GetParam(), cpus, /*parallel=*/true, engine);
+      const std::string what =
+          std::string(InterpEngineName(engine)) + " at " + std::to_string(cpus) + " cpus";
+      ASSERT_TRUE(serial.completed) << what;
+      ASSERT_TRUE(par.completed) << what;
+      ExpectSameRun(serial, par, what.c_str());
+      EXPECT_GT(par.mp_pool_rounds, 0u) << what;
+      EXPECT_EQ(serial.mp_pool_rounds, 0u) << what;
+      EXPECT_EQ(serial.mp_inline_rounds, par.mp_pool_rounds + par.mp_inline_rounds) << what;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, MpBackendTest,

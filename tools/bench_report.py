@@ -155,13 +155,16 @@ def distill(raw):
         # memory and wakeup throughput, the paper's 100k-thread scaling axes),
         # BM_MpScale (host time per c1m run, host speedup over the 1-CPU
         # dispatcher, and the MP epoch/cross-CPU traffic that produced it),
+        # BM_MpCompute (parallel vs serial MP backend host time on the
+        # compute workload, and how many rounds reached the pool),
         # and BM_CkptOverhead (generations committed, serial-pause p95, and
         # how often a user write beat the background drain to a marked page).
         # ... and BM_TraceBinOverhead / BM_FlightRecorder (on-disk bytes per
         # trace event, host ms to cut one postmortem bundle).
         for counter in ("bytes_per_thread", "wakeups_per_vsec",
                         "host_ms_per_run", "speedup_vs_1cpu",
-                        "mp_epochs", "cross_cpu_ipc",
+                        "serial_ms_per_run", "speedup_vs_mp_serial",
+                        "mp_pool_rounds", "mp_epochs", "cross_cpu_ipc",
                         "ckpt_generations", "ckpt_pause_p95_ns",
                         "ckpt_cow_saves", "bytes_per_event", "bundle_ms"):
             if counter in b:
@@ -294,12 +297,14 @@ def main():
         },
         "benchmarks": distill(raw),
     }
-    if args.stats_json:
-        stats = dict(existing.get("kernel_stats", {}))
-        for path in args.stats_json:
-            label, distilled = distill_stats(path)
-            stats[label] = distilled
-            print(f"ingested kernel stats for [{label}] from {path}")
+    # Carried forward like the history: a run without --stats-json keeps
+    # the snapshots already in the report.
+    stats = dict(existing.get("kernel_stats", {}))
+    for path in args.stats_json or []:
+        label, distilled = distill_stats(path)
+        stats[label] = distilled
+        print(f"ingested kernel stats for [{label}] from {path}")
+    if stats:
         report["kernel_stats"] = stats
 
     if args.baseline:

@@ -691,13 +691,15 @@ int Main(int argc, char** argv) {
     if (cfg.num_cpus > 1) {
       std::fprintf(stderr,
                    "  mp: %d cpus (%s) | %llu epochs | %llu cross-cpu ipc | "
-                   "%llu migrations | %llu remote shootdowns | %llu barrier waits | "
-                   "digest %016llx\n",
+                   "%llu migrations | %llu remote shootdowns | %llu pool rounds | "
+                   "%llu inline rounds | %llu barrier waits | digest %016llx\n",
                    cfg.num_cpus, cfg.mp_parallel ? "parallel" : "serial",
                    static_cast<unsigned long long>(s.mp_epochs),
                    static_cast<unsigned long long>(s.cross_cpu_ipc),
                    static_cast<unsigned long long>(s.migrations),
                    static_cast<unsigned long long>(s.shootdowns_remote),
+                   static_cast<unsigned long long>(s.mp_pool_rounds),
+                   static_cast<unsigned long long>(s.mp_inline_rounds),
                    static_cast<unsigned long long>(s.mp_barrier_waits),
                    static_cast<unsigned long long>(kernel.MpDigest()));
       for (const Cpu& c : kernel.cpus()) {
