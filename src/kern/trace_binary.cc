@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/api/abi.h"
+#include "src/base/crc32.h"
 #include "src/kern/kernel.h"
 #include "src/kern/trace_export.h"
 
@@ -14,49 +15,6 @@ constexpr uint8_t kVersion = 1;
 constexpr uint8_t kChunkStrings = 'S';
 constexpr uint8_t kChunkEvents = 'E';
 constexpr uint8_t kChunkMeta = 'M';
-
-// Reflected CRC-32 (IEEE 802.3), the same polynomial the checkpoint image
-// format uses (src/workloads/ckpt_image.cc): each chunk is guarded
-// independently so corruption is localized on read. Computed slicing-by-8
-// (eight table lookups per 8 input bytes) because the writer checksums every
-// event chunk on the tracing hot path; the value is identical to the
-// byte-at-a-time construction.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static uint32_t table[8][256];
-  static bool ready = false;
-  if (!ready) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[0][i] = c;
-    }
-    for (int t = 1; t < 8; ++t) {
-      for (uint32_t i = 0; i < 256; ++i) {
-        table[t][i] = table[0][table[t - 1][i] & 0xFF] ^ (table[t - 1][i] >> 8);
-      }
-    }
-    ready = true;
-  }
-  uint32_t crc = 0xFFFFFFFFu;
-  while (len >= 8) {
-    const uint32_t lo = crc ^ (static_cast<uint32_t>(data[0]) | static_cast<uint32_t>(data[1]) << 8 |
-                               static_cast<uint32_t>(data[2]) << 16 |
-                               static_cast<uint32_t>(data[3]) << 24);
-    const uint32_t hi = static_cast<uint32_t>(data[4]) | static_cast<uint32_t>(data[5]) << 8 |
-                        static_cast<uint32_t>(data[6]) << 16 | static_cast<uint32_t>(data[7]) << 24;
-    crc = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^ table[5][(lo >> 16) & 0xFF] ^
-          table[4][lo >> 24] ^ table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
-          table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
-    data += 8;
-    len -= 8;
-  }
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[0][(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void PutVar(std::vector<uint8_t>* out, uint64_t v) {
   while (v >= 0x80) {

@@ -1,6 +1,7 @@
 #include "src/workloads/checkpoint.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -234,55 +235,76 @@ bool CaptureMachineMeta(Kernel& k, const std::vector<Space*>& live, MachineImage
   img->clock_ns = k.clock.now();
 
   // Global thread table: space order, then TCB order, skipping zombies.
-  std::unordered_map<const Thread*, int> thread_idx;
+  // The first pass reads only each TCB's run state and, for a live thread,
+  // its id; most TCBs of a long run are zombies.
+  size_t tcb_count = 0;
+  for (const Space* s : live) {
+    tcb_count += s->threads.size();
+  }
+  std::vector<Thread*> captured;
+  captured.reserve(tcb_count);
+  img->threads.reserve(tcb_count);
+  uint64_t min_tid = UINT64_MAX;
+  uint64_t max_tid = 0;
   for (size_t si = 0; si < live.size(); ++si) {
     for (Thread* t : live[si]->threads) {
-      if (t->run_state == ThreadRun::kDead) {
-        continue;
+      if (t->run_state != ThreadRun::kDead) {
+        min_tid = std::min(min_tid, t->id());
+        max_tid = std::max(max_tid, t->id());
+        captured.push_back(t);
+        img->threads.emplace_back().space_index = static_cast<uint32_t>(si);
       }
-      if (t->legacy) {
-        *error = "legacy threads are not checkpointable";
-        return false;
-      }
-      if (t->exception_victim != nullptr) {
-        *error = "undelivered fault IPC (server owes a reply)";
-        return false;
-      }
-      thread_idx.emplace(t, static_cast<int>(img->threads.size()));
-      MachineImage::ThreadImage ti;
-      ti.space_index = static_cast<uint32_t>(si);
-      if (!k.GetThreadState(t, &ti.state)) {
-        *error = "cannot capture a thread while it is on a CPU";
-        return false;
-      }
-      ti.program_name = t->program != nullptr ? t->program->name() : "";
-      ti.was_runnable = t->run_state == ThreadRun::kRunnable ||
-                        t->run_state == ThreadRun::kBlocked ||
-                        t->run_state == ThreadRun::kRunning;
-      ti.ipc_is_server = t->ipc_is_server;
-      ti.port_badge = t->port_badge;
-      img->threads.push_back(std::move(ti));
     }
   }
-  // IPC links second pass (a peer may sit later in the global order).
-  {
-    size_t g = 0;
-    for (Space* s : live) {
-      for (Thread* t : s->threads) {
-        if (t->run_state == ThreadRun::kDead) {
-          continue;
-        }
-        if (t->ipc_peer != nullptr) {
-          auto it = thread_idx.find(t->ipc_peer);
-          if (it == thread_idx.end()) {
-            *error = "ipc peer is not a captured thread";
-            return false;
-          }
-          img->threads[g].ipc_peer = it->second;
-        }
-        ++g;
+  // thread_idx[id - min_tid] is the global index of the thread with that id
+  // (-1: not captured). It spans only the captured ids, so one flat table
+  // serves every lookup -- IPC peers, thread handles and mutex owners -- in
+  // O(1). Its size is the number of ids issued between the oldest and the
+  // newest captured thread, not every id the kernel ever issued.
+  std::vector<int> thread_idx(captured.empty() ? 0 : max_tid - min_tid + 1, -1);
+  for (size_t g = 0; g < captured.size(); ++g) {
+    thread_idx[captured[g]->id() - min_tid] = static_cast<int>(g);
+  }
+  auto index_of = [&thread_idx, min_tid](uint64_t tid) {
+    return tid >= min_tid && tid - min_tid < thread_idx.size()
+               ? thread_idx[tid - min_tid]
+               : -1;
+  };
+  // The second pass captures each live thread. self_slot[g] is thread g's
+  // self handle, so the handle-table pass below reads no TCB field beyond
+  // the object header.
+  std::vector<uint32_t> self_slot(captured.size());
+  for (size_t g = 0; g < captured.size(); ++g) {
+    Thread* t = captured[g];
+    if (t->legacy) {
+      *error = "legacy threads are not checkpointable";
+      return false;
+    }
+    if (t->exception_victim != nullptr) {
+      *error = "undelivered fault IPC (server owes a reply)";
+      return false;
+    }
+    MachineImage::ThreadImage& ti = img->threads[g];
+    if (!k.GetThreadState(t, &ti.state)) {
+      *error = "cannot capture a thread while it is on a CPU";
+      return false;
+    }
+    if (t->program != nullptr) {
+      ti.program_name = t->program->name();
+    }
+    ti.was_runnable = t->run_state == ThreadRun::kRunnable ||
+                      t->run_state == ThreadRun::kBlocked ||
+                      t->run_state == ThreadRun::kRunning;
+    ti.ipc_is_server = t->ipc_is_server;
+    ti.port_badge = t->port_badge;
+    if (t->ipc_peer != nullptr) {
+      ti.ipc_peer = index_of(t->ipc_peer->id());
+      if (ti.ipc_peer < 0) {
+        *error = "ipc peer is not a captured thread";
+        return false;
       }
     }
+    self_slot[g] = t->self_handle;
   }
 
   // Ports and portsets get small-integer keys in discovery order (space
@@ -328,6 +350,7 @@ bool CaptureMachineMeta(Kernel& k, const std::vector<Space*>& live, MachineImage
     sp.program_name = s->program != nullptr ? s->program->name() : "";
     sp.anon_base = s->anon_base();
     sp.anon_size = s->anon_size();
+    sp.resident.reserve(s->page_table().size());
     for (const auto& [page, pte] : s->page_table()) {
       sp.resident.push_back({page << kPageShift, pte.prot});
     }
@@ -335,6 +358,7 @@ bool CaptureMachineMeta(Kernel& k, const std::vector<Space*>& live, MachineImage
               [](const auto& a, const auto& b) { return a.vaddr < b.vaddr; });
 
     const auto& handles = s->handle_table();
+    sp.objects.reserve(handles.size());
     for (size_t slot = 1; slot < handles.size(); ++slot) {
       MachineImage::ObjImage oi;
       KernelObject* o = handles[slot].get();
@@ -345,12 +369,7 @@ bool CaptureMachineMeta(Kernel& k, const std::vector<Space*>& live, MachineImage
             oi.kind = MachineImage::ObjKind::kMutex;
             oi.mutex_locked = m->locked;
             if (m->locked) {
-              for (const auto& [t, idx] : thread_idx) {
-                if (t->id() == m->owner_tid) {
-                  oi.mutex_owner_thread = idx;
-                  break;
-                }
-              }
+              oi.mutex_owner_thread = index_of(m->owner_tid);
             }
             break;
           }
@@ -365,19 +384,21 @@ bool CaptureMachineMeta(Kernel& k, const std::vector<Space*>& live, MachineImage
             oi.kind = MachineImage::ObjKind::kSpaceSelf;
             break;
           case ObjType::kThread: {
-            auto* t = static_cast<Thread*>(o);
-            if (t->run_state == ThreadRun::kDead) {
-              break;  // zombie slot -> kEmpty (join across a checkpoint is lost)
-            }
-            auto it = thread_idx.find(t);
-            if (it == thread_idx.end()) {
+            const auto* t = static_cast<const Thread*>(o);
+            const int idx = index_of(t->id());
+            if (idx < 0) {
+              if (t->run_state == ThreadRun::kDead) {
+                break;  // zombie slot -> kEmpty (join across a checkpoint is lost)
+              }
               *error = "thread handle to an uncaptured thread";
               return false;
             }
-            oi.kind = (t->space == s && t->self_handle == slot)
+            // A captured thread's space is the one whose TCB list holds it.
+            const auto g = static_cast<size_t>(idx);
+            oi.kind = (img->threads[g].space_index == si && self_slot[g] == slot)
                           ? MachineImage::ObjKind::kThreadSelf
                           : MachineImage::ObjKind::kThreadRef;
-            oi.index = it->second;
+            oi.index = idx;
             break;
           }
           case ObjType::kPort:
@@ -500,6 +521,7 @@ MachineImage ConcurrentCkpt::Finish() {
   size_t pages = 0;
   for (size_t i = 0; i < session_.spaces.size(); ++i) {
     CkptSpaceCapture& sc = session_.spaces[i];
+    img_.spaces[i].pages.reserve(sc.pages.size());
     for (CkptPage& rec : sc.pages) {
       assert(rec.captured);
       CheckpointImage::PageImage pi;

@@ -1,44 +1,79 @@
 #include "src/workloads/ckpt_image.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstring>
+
+#include "src/base/crc32.h"
 
 namespace fluke {
 
 namespace {
 
-// Reflected CRC-32 (IEEE 802.3 polynomial), table built on first use. Guards
-// the whole stream: structural fields AND page contents, which the parser's
-// bounds checks alone cannot vouch for.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static uint32_t table[256];
-  static bool ready = false;
-  if (!ready) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
+// Serialization runs one layout twice: SizeCounter measures the stream,
+// then ByteWriter fills a buffer of exactly that size through a cursor --
+// no per-byte capacity checks, no reallocation. Both present the same
+// interface, so the layout (EmitCheckpoint, EmitMachine) is written once.
+// Integers are little-endian.
+class SizeCounter {
+ public:
+  void U32(uint32_t) { n_ += 4; }
+  void U64(uint64_t) { n_ += 8; }
+  void Str(const std::string& s) { n_ += 4 + s.size(); }
+  void Bytes(const std::vector<uint8_t>& v) { n_ += v.size(); }
+  void CrcSince(size_t) { n_ += 4; }
+  size_t pos() const { return n_; }
+
+ private:
+  size_t n_ = 0;
+};
+
+class ByteWriter {
+ public:
+  explicit ByteWriter(uint8_t* out) : base_(out), p_(out) {}
+  void U32(uint32_t v) {
+    if constexpr (std::endian::native == std::endian::big) {
+      v = __builtin_bswap32(v);
     }
-    ready = true;
+    std::memcpy(p_, &v, 4);  // one 4-byte store
+    p_ += 4;
   }
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  void U64(uint64_t v) {
+    U32(static_cast<uint32_t>(v));
+    U32(static_cast<uint32_t>(v >> 32));
   }
-  return crc ^ 0xFFFFFFFFu;
-}
+  void Str(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    Raw(s.data(), s.size());
+  }
+  void Bytes(const std::vector<uint8_t>& v) { Raw(v.data(), v.size()); }
+  // Appends the CRC32 of everything written from offset `start` on.
+  void CrcSince(size_t start) { U32(Crc32(base_ + start, pos() - start)); }
+  size_t pos() const { return static_cast<size_t>(p_ - base_); }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+ private:
+  void Raw(const void* src, size_t n) {
+    if (n != 0) {
+      std::memcpy(p_, src, n);
+      p_ += n;
+    }
   }
-}
+  uint8_t* base_;
+  uint8_t* p_;
+};
 
-void PutStr(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
+// Measures the stream `emit` lays out, then writes it into one buffer of
+// exactly that size.
+template <class Emit>
+std::vector<uint8_t> SerializeWith(const Emit& emit) {
+  SizeCounter count;
+  emit(count);
+  std::vector<uint8_t> out(count.pos());
+  ByteWriter w(out.data());
+  emit(w);
+  assert(w.pos() == out.size());
+  return out;
 }
 
 class Reader {
@@ -89,12 +124,46 @@ class Reader {
   size_t pos_ = 0;
 };
 
-void PutThreadState(std::vector<uint8_t>* out, const ThreadState& s) {
+template <class W>
+void PutThreadState(W& w, const ThreadState& s) {
   uint32_t words[kThreadStateWords];
   ThreadStateToWords(s, words);
-  for (uint32_t w : words) {
-    PutU32(out, w);
+  for (uint32_t word : words) {
+    w.U32(word);
   }
+}
+
+template <class W>
+void EmitCheckpoint(W& w, const CheckpointImage& img) {
+  w.U32(kCkptMagic);
+  w.U32(kCkptVersion);
+  w.Str(img.space_name);
+  w.Str(img.program_name);
+  w.U32(img.anon_base);
+  w.U32(img.anon_size);
+
+  w.U32(static_cast<uint32_t>(img.threads.size()));
+  for (const auto& t : img.threads) {
+    PutThreadState(w, t.state);
+    w.Str(t.program_name);
+    w.U32(t.was_runnable ? 1 : 0);
+  }
+
+  w.U32(static_cast<uint32_t>(img.pages.size()));
+  for (const auto& p : img.pages) {
+    w.U32(p.vaddr);
+    w.U32(p.prot);
+    w.Bytes(p.data);
+  }
+
+  w.U32(static_cast<uint32_t>(img.objects.size()));
+  for (const auto& o : img.objects) {
+    w.U32(static_cast<uint32_t>(o.kind));
+    w.U32(static_cast<uint32_t>(o.thread_index));
+    w.U32(o.mutex_locked ? 1 : 0);
+    w.U32(static_cast<uint32_t>(o.mutex_owner_thread));
+  }
+  w.CrcSince(0);
 }
 
 bool GetThreadState(Reader& r, ThreadState* s) {
@@ -111,37 +180,7 @@ bool GetThreadState(Reader& r, ThreadState* s) {
 }  // namespace
 
 std::vector<uint8_t> SerializeCheckpoint(const CheckpointImage& img) {
-  std::vector<uint8_t> out;
-  PutU32(&out, kCkptMagic);
-  PutU32(&out, kCkptVersion);
-  PutStr(&out, img.space_name);
-  PutStr(&out, img.program_name);
-  PutU32(&out, img.anon_base);
-  PutU32(&out, img.anon_size);
-
-  PutU32(&out, static_cast<uint32_t>(img.threads.size()));
-  for (const auto& t : img.threads) {
-    PutThreadState(&out, t.state);
-    PutStr(&out, t.program_name);
-    PutU32(&out, t.was_runnable ? 1 : 0);
-  }
-
-  PutU32(&out, static_cast<uint32_t>(img.pages.size()));
-  for (const auto& p : img.pages) {
-    PutU32(&out, p.vaddr);
-    PutU32(&out, p.prot);
-    out.insert(out.end(), p.data.begin(), p.data.end());
-  }
-
-  PutU32(&out, static_cast<uint32_t>(img.objects.size()));
-  for (const auto& o : img.objects) {
-    PutU32(&out, static_cast<uint32_t>(o.kind));
-    PutU32(&out, static_cast<uint32_t>(o.thread_index));
-    PutU32(&out, o.mutex_locked ? 1 : 0);
-    PutU32(&out, static_cast<uint32_t>(o.mutex_owner_thread));
-  }
-  PutU32(&out, Crc32(out.data(), out.size()));
-  return out;
+  return SerializeWith([&img](auto& w) { EmitCheckpoint(w, img); });
 }
 
 bool DeserializeCheckpoint(const std::vector<uint8_t>& bytes, CheckpointImage* out,
@@ -288,11 +327,6 @@ namespace {
 // future partial-fetch transport) can name the damaged extent.
 constexpr uint32_t kPagesPerChunk = 64;
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
 bool GetU64(Reader& r, uint64_t* v) {
   uint32_t lo = 0, hi = 0;
   if (!r.U32(&lo) || !r.U32(&hi)) {
@@ -312,87 +346,94 @@ uint64_t ImageDigest(const std::vector<uint8_t>& bytes) {
   return h;
 }
 
-std::vector<uint8_t> SerializeMachine(const MachineImage& img) {
-  std::vector<uint8_t> out;
-  PutU32(&out, kCkptMagic);
-  PutU32(&out, kCkptVersion3);
-  PutU32(&out, img.base_generation != 0 ? 1u : 0u);  // flags: bit0 = delta
-  PutU32(&out, img.generation);
-  PutU32(&out, img.base_generation);
-  PutU64(&out, img.parent_digest);
-  PutU64(&out, static_cast<uint64_t>(img.clock_ns));
+namespace {
 
-  PutU32(&out, static_cast<uint32_t>(img.spaces.size()));
+template <class W>
+void EmitMachine(W& w, const MachineImage& img) {
+  w.U32(kCkptMagic);
+  w.U32(kCkptVersion3);
+  w.U32(img.base_generation != 0 ? 1u : 0u);  // flags: bit0 = delta
+  w.U32(img.generation);
+  w.U32(img.base_generation);
+  w.U64(img.parent_digest);
+  w.U64(static_cast<uint64_t>(img.clock_ns));
+
+  w.U32(static_cast<uint32_t>(img.spaces.size()));
   for (const auto& s : img.spaces) {
-    PutStr(&out, s.name);
-    PutStr(&out, s.program_name);
-    PutU32(&out, s.anon_base);
-    PutU32(&out, s.anon_size);
-    PutU32(&out, static_cast<uint32_t>(s.resident.size()));
+    w.Str(s.name);
+    w.Str(s.program_name);
+    w.U32(s.anon_base);
+    w.U32(s.anon_size);
+    w.U32(static_cast<uint32_t>(s.resident.size()));
     for (const auto& rp : s.resident) {
-      PutU32(&out, rp.vaddr);
-      PutU32(&out, rp.prot);
+      w.U32(rp.vaddr);
+      w.U32(rp.prot);
     }
-    PutU32(&out, static_cast<uint32_t>(s.objects.size()));
+    w.U32(static_cast<uint32_t>(s.objects.size()));
     for (const auto& o : s.objects) {
-      PutU32(&out, static_cast<uint32_t>(o.kind));
-      PutU32(&out, static_cast<uint32_t>(o.index));
-      PutU32(&out, o.mutex_locked ? 1 : 0);
-      PutU32(&out, static_cast<uint32_t>(o.mutex_owner_thread));
+      w.U32(static_cast<uint32_t>(o.kind));
+      w.U32(static_cast<uint32_t>(o.index));
+      w.U32(o.mutex_locked ? 1 : 0);
+      w.U32(static_cast<uint32_t>(o.mutex_owner_thread));
     }
   }
 
-  PutU32(&out, static_cast<uint32_t>(img.ports.size()));
+  w.U32(static_cast<uint32_t>(img.ports.size()));
   for (const auto& p : img.ports) {
-    PutU32(&out, p.badge);
-    PutU32(&out, static_cast<uint32_t>(p.kmsgs.size()));
+    w.U32(p.badge);
+    w.U32(static_cast<uint32_t>(p.kmsgs.size()));
     for (const auto& m : p.kmsgs) {
-      for (uint32_t w : m.words) {
-        PutU32(&out, w);
+      for (uint32_t word : m.words) {
+        w.U32(word);
       }
-      PutU32(&out, m.len);
-      PutU32(&out, m.badge);
+      w.U32(m.len);
+      w.U32(m.badge);
     }
   }
-  PutU32(&out, static_cast<uint32_t>(img.portsets.size()));
+  w.U32(static_cast<uint32_t>(img.portsets.size()));
   for (const auto& ps : img.portsets) {
-    PutU32(&out, static_cast<uint32_t>(ps.member_ports.size()));
+    w.U32(static_cast<uint32_t>(ps.member_ports.size()));
     for (uint32_t key : ps.member_ports) {
-      PutU32(&out, key);
+      w.U32(key);
     }
   }
 
-  PutU32(&out, static_cast<uint32_t>(img.threads.size()));
+  w.U32(static_cast<uint32_t>(img.threads.size()));
   for (const auto& t : img.threads) {
-    PutU32(&out, t.space_index);
-    PutThreadState(&out, t.state);
-    PutStr(&out, t.program_name);
-    PutU32(&out, t.was_runnable ? 1 : 0);
-    PutU32(&out, static_cast<uint32_t>(t.ipc_peer));
-    PutU32(&out, t.ipc_is_server ? 1 : 0);
-    PutU32(&out, t.port_badge);
+    w.U32(t.space_index);
+    PutThreadState(w, t.state);
+    w.Str(t.program_name);
+    w.U32(t.was_runnable ? 1 : 0);
+    w.U32(static_cast<uint32_t>(t.ipc_peer));
+    w.U32(t.ipc_is_server ? 1 : 0);
+    w.U32(t.port_badge);
   }
 
   // Page sections last, chunked with per-chunk CRCs.
   for (const auto& s : img.spaces) {
-    PutU32(&out, static_cast<uint32_t>(s.pages.size()));
-    size_t chunk_start = out.size();
+    w.U32(static_cast<uint32_t>(s.pages.size()));
+    size_t chunk_start = w.pos();
     uint32_t in_chunk = 0;
     for (size_t i = 0; i < s.pages.size(); ++i) {
       const auto& p = s.pages[i];
-      PutU32(&out, p.vaddr);
-      PutU32(&out, p.prot);
-      out.insert(out.end(), p.data.begin(), p.data.end());
+      w.U32(p.vaddr);
+      w.U32(p.prot);
+      w.Bytes(p.data);
       if (++in_chunk == kPagesPerChunk || i + 1 == s.pages.size()) {
-        PutU32(&out, Crc32(out.data() + chunk_start, out.size() - chunk_start));
-        chunk_start = out.size();
+        w.CrcSince(chunk_start);
+        chunk_start = w.pos();
         in_chunk = 0;
       }
     }
   }
 
-  PutU32(&out, Crc32(out.data(), out.size()));
-  return out;
+  w.CrcSince(0);
+}
+
+}  // namespace
+
+std::vector<uint8_t> SerializeMachine(const MachineImage& img) {
+  return SerializeWith([&img](auto& w) { EmitMachine(w, img); });
 }
 
 namespace {

@@ -4,33 +4,12 @@
 #include <filesystem>
 #include <fstream>
 
+#include "src/base/crc32.h"
 #include "src/workloads/ckpt_image.h"
 
 namespace fluke {
 
 namespace {
-
-// Same reflected CRC-32 the image streams use (ckpt_image.cc); duplicated
-// here because the log guards its own records independently of any image.
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static uint32_t table[256];
-  static bool ready = false;
-  if (!ready) {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int b = 0; b < 8; ++b) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    ready = true;
-  }
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void PutU64(std::vector<uint8_t>* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -68,12 +47,18 @@ bool FileCkptStore::Put(const std::string& name, const std::vector<uint8_t>& byt
 }
 
 bool FileCkptStore::Get(const std::string& name, std::vector<uint8_t>* out) const {
-  std::ifstream f(std::filesystem::path(dir_) / name, std::ios::binary);
+  // One sized read into a pre-sized buffer: images run to megabytes.
+  std::ifstream f(std::filesystem::path(dir_) / name, std::ios::binary | std::ios::ate);
   if (!f) {
     return false;
   }
-  out->assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
-  return true;
+  const std::streamsize size = f.tellg();
+  if (size < 0 || !f.seekg(0)) {
+    return false;
+  }
+  out->resize(static_cast<size_t>(size));
+  f.read(reinterpret_cast<char*>(out->data()), size);
+  return f.gcount() == size;
 }
 
 bool FileCkptStore::Append(const std::string& name, const std::vector<uint8_t>& bytes) {
@@ -93,21 +78,29 @@ std::string CkptImageName(uint64_t generation) {
   return buf;
 }
 
-bool CommitGeneration(CkptStore& store, uint64_t gen, const std::vector<uint8_t>& bytes) {
+bool CommitGeneration(CkptStore& store, uint64_t gen, const std::vector<uint8_t>& bytes,
+                      uint64_t* digest) {
   // Write-ahead order: the image must be durable before the log names it.
   if (!store.Put(CkptImageName(gen), bytes)) {
     return false;
   }
+  const uint64_t d = ImageDigest(bytes);
   std::vector<uint8_t> rec;
   rec.reserve(kRestartRecordBytes);
   PutU64(&rec, gen);
-  PutU64(&rec, ImageDigest(bytes));
+  PutU64(&rec, d);
   PutU64(&rec, bytes.size());
   const uint32_t crc = Crc32(rec.data(), rec.size());
   for (int i = 0; i < 4; ++i) {
     rec.push_back(static_cast<uint8_t>(crc >> (8 * i)));
   }
-  return store.Append(kRestartLogName, rec);
+  if (!store.Append(kRestartLogName, rec)) {
+    return false;
+  }
+  if (digest != nullptr) {
+    *digest = d;
+  }
+  return true;
 }
 
 std::vector<RestartRecord> ReadRestartLog(const CkptStore& store) {
@@ -126,8 +119,13 @@ std::vector<RestartRecord> ReadRestartLog(const CkptStore& store) {
   return out;  // a torn tail (partial record) is simply never reached
 }
 
-bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& log,
-                    size_t rec_index, MachineImage* out, std::string* error) {
+namespace {
+
+// LoadGeneration with a caller-owned image buffer, so recovery's fallback
+// walk reuses one buffer for every image it reads.
+bool LoadGenerationInto(const CkptStore& store, const std::vector<RestartRecord>& log,
+                        size_t rec_index, MachineImage* out, std::string* error,
+                        std::vector<uint8_t>* bytes) {
   if (rec_index >= log.size()) {
     *error = "no such log record";
     return false;
@@ -143,8 +141,7 @@ bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& lo
     }
     return found;
   };
-  auto fetch = [&](const RestartRecord& rec, std::vector<uint8_t>* bytes,
-                   MachineImage* img) -> bool {
+  auto fetch = [&](const RestartRecord& rec, MachineImage* img) -> bool {
     if (!store.Get(CkptImageName(rec.generation), bytes)) {
       *error = "truncated delta chain: image for generation " +
                std::to_string(rec.generation) + " is missing";
@@ -166,17 +163,19 @@ bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& lo
 
   // Walk parent links newest-to-oldest, then merge oldest-first.
   std::vector<MachineImage> images;
-  std::vector<uint8_t> bytes;
   MachineImage img;
-  if (!fetch(log[rec_index], &bytes, &img)) {
+  if (!fetch(log[rec_index], &img)) {
     return false;
   }
+  // fetch() has checked each image against its record's digest, so the
+  // record's digest is the image's: no image is hashed twice.
+  uint64_t digest = log[rec_index].digest;
   uint64_t expect_parent_digest = 0;
   while (true) {
     const bool is_delta = img.base_generation != 0;
     const uint32_t parent_gen = img.base_generation;
     const uint64_t parent_digest = img.parent_digest;
-    if (!images.empty() && expect_parent_digest != ImageDigest(bytes)) {
+    if (!images.empty() && expect_parent_digest != digest) {
       *error = "parent digest mismatch at generation " + std::to_string(img.generation);
       return false;
     }
@@ -196,9 +195,10 @@ bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& lo
       return false;
     }
     expect_parent_digest = parent_digest;
-    if (!fetch(prec, &bytes, &img)) {
+    if (!fetch(prec, &img)) {
       return false;
     }
+    digest = prec.digest;
   }
 
   std::vector<const MachineImage*> chain;
@@ -206,6 +206,14 @@ bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& lo
     chain.push_back(&*it);
   }
   return MergeImageChain(chain, out, error);
+}
+
+}  // namespace
+
+bool LoadGeneration(const CkptStore& store, const std::vector<RestartRecord>& log,
+                    size_t rec_index, MachineImage* out, std::string* error) {
+  std::vector<uint8_t> bytes;
+  return LoadGenerationInto(store, log, rec_index, out, error, &bytes);
 }
 
 bool RecoverLatest(const CkptStore& store, MachineImage* out, uint64_t* generation,
@@ -216,9 +224,10 @@ bool RecoverLatest(const CkptStore& store, MachineImage* out, uint64_t* generati
     return false;
   }
   std::string newest_error;
+  std::vector<uint8_t> bytes;
   for (size_t i = log.size(); i-- > 0;) {
     std::string e;
-    if (LoadGeneration(store, log, i, out, &e)) {
+    if (LoadGenerationInto(store, log, i, out, &e, &bytes)) {
       if (generation != nullptr) {
         *generation = log[i].generation;
       }

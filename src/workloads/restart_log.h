@@ -94,8 +94,11 @@ inline constexpr size_t kRestartRecordBytes = 28;
 std::string CkptImageName(uint64_t generation);
 
 // Writes `bytes` as generation `gen`'s image and then appends the log
-// record (write-ahead order). Returns false on store failure.
-bool CommitGeneration(CkptStore& store, uint64_t gen, const std::vector<uint8_t>& bytes);
+// record (write-ahead order). Returns false on store failure. On success,
+// `*digest` (when given) receives the ImageDigest the record logged, so a
+// caller chaining the next delta need not hash the image again.
+bool CommitGeneration(CkptStore& store, uint64_t gen, const std::vector<uint8_t>& bytes,
+                      uint64_t* digest = nullptr);
 
 // Parses the log into records, stopping cleanly at a torn or corrupt tail.
 std::vector<RestartRecord> ReadRestartLog(const CkptStore& store);

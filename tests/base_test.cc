@@ -1,9 +1,12 @@
-// Unit tests for src/base: intrusive list, RNG, status names.
+// Unit tests for src/base: intrusive list, RNG, status names, CRC-32.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
+#include "src/base/crc32.h"
 #include "src/base/intrusive_list.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
@@ -138,6 +141,48 @@ TEST(Status, Names) {
   EXPECT_STREQ(KStatusName(KStatus::kOk), "OK");
   EXPECT_STREQ(KStatusName(KStatus::kBlocked), "BLOCKED");
   EXPECT_STREQ(KStatusName(KStatus::kHardFault), "HARD_FAULT");
+}
+
+// Bit-at-a-time reflected CRC-32: the definition the table-driven one must
+// reproduce.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int b = 0; b < 8; ++b) {
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, CheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Every length 0..64 (each tail length of the eight-byte stride) and random
+// longer lengths, at every alignment within an eight-byte word.
+TEST(Crc32, MatchesBitwiseReferenceAtAnyLengthAndAlignment) {
+  Rng r(2024);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(r.Next32());
+  }
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) {
+    lengths.push_back(n);
+  }
+  for (int i = 0; i < 64; ++i) {
+    lengths.push_back(r.Range(65, 4096));
+  }
+  for (size_t n : lengths) {
+    for (size_t off = 0; off < 8; ++off) {
+      EXPECT_EQ(Crc32(buf.data() + off, n), BitwiseCrc32(buf.data() + off, n))
+          << "length " << n << " offset " << off;
+    }
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 
 #include "src/kern/inspect.h"
 #include "src/kern/profile.h"
+#include "src/workloads/apps.h"
 #include "src/workloads/checkpoint.h"
 #include "src/workloads/ckpt_image.h"
 #include "src/workloads/restart_log.h"
@@ -216,9 +217,8 @@ CkptRun RunCheckpointed(Kernel& k, const std::vector<Thread*>& until, CkptStore&
       img.parent_digest = 0;
     }
     const std::vector<uint8_t> bytes = SerializeMachine(img);
-    EXPECT_TRUE(CommitGeneration(store, img.generation, bytes));
+    EXPECT_TRUE(CommitGeneration(store, img.generation, bytes, &prev_digest));
     prev_gen = img.generation;
-    prev_digest = ImageDigest(bytes);
     ++out.generations;
     out.commit_boundaries.push_back(k.finj.dispatch_boundaries());
   };
@@ -515,8 +515,7 @@ class CkptRestartLogTest : public testing::Test {
       img.base_generation = gen > 1 ? gen - 1 : 0;
       img.parent_digest = gen > 1 ? parent : 0;
       const std::vector<uint8_t> bytes = SerializeMachine(img);
-      ASSERT_TRUE(CommitGeneration(store, gen, bytes));
-      parent = ImageDigest(bytes);
+      ASSERT_TRUE(CommitGeneration(store, gen, bytes, &parent));
     }
   }
 
@@ -598,8 +597,7 @@ TEST_F(CkptRestartLogTest, FlipEveryByteOfEveryGenerationNeverDiverges) {
     img.base_generation = gen > 1 ? gen - 1 : 0;
     img.parent_digest = gen > 1 ? parent : 0;
     const std::vector<uint8_t> bytes = SerializeMachine(img);
-    ASSERT_TRUE(CommitGeneration(store, gen, bytes));
-    parent = ImageDigest(bytes);
+    ASSERT_TRUE(CommitGeneration(store, gen, bytes, &parent));
   }
 
   // Pristine recovery results for both generations, for the equality check.
@@ -670,37 +668,46 @@ TEST(CkptImageV3Test, RoundTripsThroughTheWire) {
   }
 }
 
-TEST(CkptV2CompatTest, V2ImagesLoadThroughDeserializeImage) {
-  // The v2 single-space world from ckpt_image_test: a held mutex, a blocked
-  // waiter, one dirtied page.
-  KernelConfig cfg;
+// The v2 single-space world from ckpt_image_test: "fa" takes a mutex, dirties
+// one page and computes while holding it; "fb" then blocks on the mutex.
+// Two milliseconds in, the mutex is held by a captured thread with a waiter.
+struct MutexWorld {
   ProgramRegistry registry;
-  Kernel k(cfg);
-  auto space = k.CreateSpace("job");
-  space->SetAnonRange(0x10000, 1 << 20);
-  auto mutex = k.NewMutex();
-  const Handle m = k.Install(space.get(), mutex);
-  Assembler aa("fa");
-  EmitSys(aa, kSysMutexLock, m);
-  aa.MovImm(kRegB, 0x11223344);
-  aa.MovImm(kRegC, 0x10000);
-  aa.StoreW(kRegB, kRegC, 0);
-  EmitCompute(aa, 900000);
-  EmitSys(aa, kSysMutexUnlock, m);
-  EmitPuts(aa, "A");
-  aa.Halt();
-  Assembler ab("fb");
-  EmitCompute(ab, 100000);
-  EmitSys(ab, kSysMutexLock, m);
-  EmitPuts(ab, "B");
-  ab.Halt();
-  registry.Register(aa.Build());
-  registry.Register(ab.Build());
-  k.StartThread(k.CreateThread(space.get(), registry.Find("fa")));
-  k.StartThread(k.CreateThread(space.get(), registry.Find("fb")));
-  k.Run(k.clock.now() + 2 * kNsPerMs);
+  Kernel k;
+  std::shared_ptr<Space> space;
+  Thread* holder = nullptr;
 
-  const std::vector<uint8_t> v2 = SerializeCheckpoint(CaptureSpace(k, *space));
+  explicit MutexWorld(const KernelConfig& cfg) : k(cfg) {
+    space = k.CreateSpace("job");
+    space->SetAnonRange(0x10000, 1 << 20);
+    const Handle m = k.Install(space.get(), k.NewMutex());
+    Assembler aa("fa");
+    EmitSys(aa, kSysMutexLock, m);
+    aa.MovImm(kRegB, 0x11223344);
+    aa.MovImm(kRegC, 0x10000);
+    aa.StoreW(kRegB, kRegC, 0);
+    EmitCompute(aa, 900000);
+    EmitSys(aa, kSysMutexUnlock, m);
+    EmitPuts(aa, "A");
+    aa.Halt();
+    Assembler ab("fb");
+    EmitCompute(ab, 100000);
+    EmitSys(ab, kSysMutexLock, m);
+    EmitPuts(ab, "B");
+    ab.Halt();
+    registry.Register(aa.Build());
+    registry.Register(ab.Build());
+    holder = k.CreateThread(space.get(), registry.Find("fa"));
+    k.StartThread(holder);
+    k.StartThread(k.CreateThread(space.get(), registry.Find("fb")));
+    k.Run(k.clock.now() + 2 * kNsPerMs);
+  }
+};
+
+TEST(CkptV2CompatTest, V2ImagesLoadThroughDeserializeImage) {
+  KernelConfig cfg;
+  MutexWorld w(cfg);
+  const std::vector<uint8_t> v2 = SerializeCheckpoint(CaptureSpace(w.k, *w.space));
   MachineImage img;
   std::string err;
   ASSERT_TRUE(DeserializeImage(v2, &img, &err)) << err;
@@ -708,13 +715,122 @@ TEST(CkptV2CompatTest, V2ImagesLoadThroughDeserializeImage) {
   EXPECT_EQ(img.base_generation, 0u);
 
   Kernel k2(cfg);
-  const MachineRestoreResult r = RestoreMachine(k2, img, registry);
+  const MachineRestoreResult r = RestoreMachine(k2, img, w.registry);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_TRUE(k2.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
   EXPECT_EQ(k2.console.output(), "AB");
   uint32_t v = 0;
   ASSERT_TRUE(r.spaces[0]->HostRead(0x10000, &v, 4));
   EXPECT_EQ(v, 0x11223344u);
+}
+
+// A machine capture of a mutex held by a captured thread records the owner
+// as that thread's global index, and a restore round trip re-binds the
+// owner to the restored thread: a second capture of the restored machine
+// names the same index.
+TEST(CkptMutexOwnerTest, MachineCaptureRecordsAndRestoresTheOwner) {
+  KernelConfig cfg;
+  MutexWorld w(cfg);
+  MachineImage img;
+  std::string err;
+  ASSERT_TRUE(CaptureMachine(w.k, /*delta=*/false, &img, &err)) << err;
+  const auto find_mutex = [](const MachineImage& m) -> const MachineImage::ObjImage* {
+    for (const auto& s : m.spaces) {
+      for (const auto& o : s.objects) {
+        if (o.kind == MachineImage::ObjKind::kMutex) {
+          return &o;
+        }
+      }
+    }
+    return nullptr;
+  };
+  const MachineImage::ObjImage* mo = find_mutex(img);
+  ASSERT_NE(mo, nullptr);
+  ASSERT_TRUE(mo->mutex_locked);
+  const MachineImage::ObjImage& self = img.spaces[0].objects.at(w.holder->self_handle - 1);
+  ASSERT_EQ(self.kind, MachineImage::ObjKind::kThreadSelf);
+  const int holder = self.index;
+  ASSERT_GE(holder, 0);
+  EXPECT_EQ(mo->mutex_owner_thread, holder);
+
+  // Through the wire and back into a fresh kernel.
+  MachineImage back;
+  ASSERT_TRUE(DeserializeImage(SerializeMachine(img), &back, &err)) << err;
+  Kernel k2(cfg);
+  const MachineRestoreResult r = RestoreMachine(k2, back, w.registry, /*start=*/false);
+  ASSERT_TRUE(r.ok) << r.error;
+  const Mutex* restored = nullptr;
+  for (const auto& slot : r.spaces[0]->handle_table()) {
+    if (slot != nullptr && slot->type() == ObjType::kMutex) {
+      restored = static_cast<const Mutex*>(slot.get());
+    }
+  }
+  ASSERT_NE(restored, nullptr);
+  EXPECT_TRUE(restored->locked);
+  EXPECT_EQ(restored->owner_tid, r.threads[static_cast<size_t>(holder)]->id());
+
+  MachineImage again;
+  ASSERT_TRUE(CaptureMachine(k2, /*delta=*/false, &again, &err)) << err;
+  const MachineImage::ObjImage* mo2 = find_mutex(again);
+  ASSERT_NE(mo2, nullptr);
+  EXPECT_TRUE(mo2->mutex_locked);
+  EXPECT_EQ(mo2->mutex_owner_thread, holder);
+
+  for (Thread* t : r.threads) {
+    k2.ResumeThread(t);
+  }
+  ASSERT_TRUE(k2.RunUntilQuiescent(60ull * 1000 * kNsPerMs));
+  EXPECT_EQ(k2.console.output(), "AB");
+}
+
+// --- Golden serializer bytes ---
+//
+// Every other test here compares two captures through the same serializer,
+// so a change to the serialized bytes themselves would go unnoticed. These
+// digests pin the v3 stream of a small c1m machine (a full image and the
+// delta that chains to it) and one v2 single-space stream. A deliberate
+// format change updates them and says so.
+TEST(CkptGoldenTest, SerializedImageDigestsArePinned) {
+  Kernel k((KernelConfig()));
+  C1mParams cp;
+  cp.clients = 64;
+  BuildC1mWorkload(k, cp);
+  std::string err;
+
+  RunTo(k, kNsPerMs);
+  MachineImage full;
+  ASSERT_TRUE(CaptureMachine(k, /*delta=*/false, &full, &err)) << err;
+  const std::vector<uint8_t> full_bytes = SerializeMachine(full);
+  const uint64_t full_digest = ImageDigest(full_bytes);
+
+  RunTo(k, 2 * kNsPerMs);
+  MachineImage delta;
+  ASSERT_TRUE(CaptureMachine(k, /*delta=*/true, &delta, &err)) << err;
+  delta.generation = 2;
+  delta.base_generation = 1;
+  delta.parent_digest = full_digest;
+  const std::vector<uint8_t> delta_bytes = SerializeMachine(delta);
+
+  // The three-space rpc/writer world: live cross-space IPC links, and a
+  // writer space whose 96 pages span two page chunks.
+  World rpc((KernelConfig()));
+  RunTo(rpc.kernel, 3 * kNsPerMs);
+  MachineImage multi;
+  ASSERT_TRUE(CaptureMachine(rpc.kernel, /*delta=*/false, &multi, &err)) << err;
+  const std::vector<uint8_t> multi_bytes = SerializeMachine(multi);
+
+  MutexWorld w((KernelConfig()));
+  const std::vector<uint8_t> v2 = SerializeCheckpoint(CaptureSpace(w.k, *w.space));
+
+  EXPECT_EQ(multi.TotalPages(), 98u);
+  EXPECT_EQ(multi_bytes.size(), 403484u);
+  EXPECT_EQ(ImageDigest(multi_bytes), 10080636311624206286ull);
+  EXPECT_EQ(full_bytes.size(), 21112u);
+  EXPECT_EQ(full_digest, 405716777926575266ull);
+  EXPECT_EQ(delta_bytes.size(), 17008u);
+  EXPECT_EQ(ImageDigest(delta_bytes), 3689816603141246166ull);
+  EXPECT_EQ(v2.size(), 4327u);
+  EXPECT_EQ(ImageDigest(v2), 8724925323826861700ull);
 }
 
 // --- Structured refusals ---

@@ -558,13 +558,12 @@ int Main(int argc, char** argv) {
       img.parent_digest = 0;
     }
     const std::vector<uint8_t> bytes = SerializeMachine(img);
-    if (!CommitGeneration(store, next_gen, bytes)) {
+    if (!CommitGeneration(store, next_gen, bytes, &prev_digest)) {
       std::fprintf(stderr, "fluke_run: cannot write checkpoint generation %llu to '%s'\n",
                    static_cast<unsigned long long>(next_gen), ckpt_dir.c_str());
       return false;
     }
     prev_gen = img.generation;
-    prev_digest = ImageDigest(bytes);
     ++next_gen;
     return true;
   };
