@@ -82,8 +82,13 @@ struct KernelConfig {
   // engines (tested by tests/interp_dispatch_test.cc). kThreaded degrades
   // to kSwitch when the computed-goto engine is not compiled in
   // (FLUKE_INTERP_COMPUTED_GOTO); kJit degrades to kThreaded (then kSwitch)
-  // when the host target is unsupported or refuses executable pages.
-  InterpEngine interp_engine = InterpEngine::kThreaded;
+  // when the host target is unsupported or refuses executable pages. The
+  // JIT runs cold programs on kThreaded until they are hot anyway.
+  InterpEngine interp_engine = InterpEngine::kJit;
+  // Set by front ends when the user named the engine (fluke_run --engine=):
+  // a JIT that cannot run then prints a one-time note. A defaulted JIT falls
+  // back silently.
+  bool engine_explicit = false;
   // Deprecated alias, kept so older call sites and scripts keep working:
   // when false it forces the switch engine regardless of interp_engine.
   // New code should set interp_engine and leave this alone.

@@ -278,7 +278,9 @@ void Kernel::RunThreadT(Cpu& cpu, Thread* t, Time horizon) {
         finj.Note(FaultHook::kInterpBoundary);
       }
       const RunResult r = RunUser(*t->program, &t->regs, t->space, budget,
-                                  Instrumented ? interp_opts_instr_ : interp_opts_);
+                                  Instrumented ? interp_opts_instr_ : interp_opts_,
+                                  t->space->BeginUserBurst());
+      t->space->EndUserBurst();
       clock.Advance(r.cycles * kNsPerCycle);
       switch (r.event) {
         case UserEvent::kBudget:
@@ -873,7 +875,9 @@ bool Kernel::MpAdvance(Cpu& c, Time horizon) {
 
 void Kernel::MpRunBurst(Cpu& c) {
   Thread* t = c.current;
-  c.burst = RunUser(*t->program, &t->regs, t->space, c.burst_budget, c.interp_opts);
+  c.burst = RunUser(*t->program, &t->regs, t->space, c.burst_budget, c.interp_opts,
+                    t->space->BeginUserBurst());
+  t->space->EndUserBurst();
 }
 
 void Kernel::MpRunBursts(bool parallel) {

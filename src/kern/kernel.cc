@@ -29,6 +29,7 @@ Kernel::Kernel(const KernelConfig& config, ProgramRegistry* program_registry)
       // count into the shard, merged into `stats` at every epoch barrier.
       cpus_[i].shard = std::make_unique<KernelStats>();
       cpus_[i].interp_opts.engine = cfg.EffectiveEngine();
+      cpus_[i].interp_opts.warn_jit_fallback = cfg.engine_explicit;
       cpus_[i].interp_opts.block_charges = &cpus_[i].shard->interp_block_charges;
       cpus_[i].interp_opts.predecodes = &cpus_[i].shard->interp_predecodes;
       cpus_[i].interp_opts.instructions = &cpus_[i].shard->user_instructions;
@@ -46,9 +47,10 @@ Kernel::Kernel(const KernelConfig& config, ProgramRegistry* program_registry)
   interp_opts_.jit_block_entries = &stats.jit_block_entries;
   interp_opts_.jit_deopts = &stats.jit_deopts;
   interp_opts_.jit_bytes = &stats.jit_bytes;
+  interp_opts_.warn_jit_fallback = cfg.engine_explicit;
   interp_opts_instr_ = interp_opts_;
   if (interp_opts_instr_.engine == InterpEngine::kJit) {
-    interp_opts_instr_.engine = InterpEngine::kSwitch;
+    interp_opts_instr_.engine = InterpEngine::kThreaded;
   }
   syscalls_by_num_ = SyscallsByNum();
   finj.Configure(cfg.fault_plan, &stats);
@@ -77,6 +79,13 @@ Kernel::~Kernel() {
     t->op.Reset();
   }
   SetFrameAccounting(nullptr, nullptr);
+  // Each space owns itself through its handle table (space_self), so
+  // without this nothing the kernel created -- spaces, page tables,
+  // threads, ports, programs and their JIT arenas -- would ever be freed.
+  // Spaces give their frames back now, while phys is still alive.
+  for (auto& s : spaces_) {
+    s->Teardown();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -502,11 +502,12 @@ class Kernel {
   // flag and the stats-counter pointers are fixed for the kernel's lifetime,
   // so RunThread doesn't reassemble them on every timeslice.
   InterpOptions interp_opts_;
-  // Same options with a kJit engine downgraded to kSwitch, used by the
+  // Same options with a kJit engine downgraded to kThreaded, used by the
   // instrumented dispatch path (armed fault plan / tracing / single-step):
-  // every instrumented burst must retire at reference granularity, so
-  // compiled code -- which charges whole blocks -- never runs there. This
-  // is the "deopt" half of the JIT contract at burst granularity.
+  // compiled code never runs there, and armed, traced and audit runs keep
+  // the JIT's cold-start engine -- the one they ran on before the JIT
+  // became the default. This is the "deopt" half of the JIT contract at
+  // burst granularity.
   InterpOptions interp_opts_instr_;
   // Flat by-number syscall dispatch table (syscall_table.cc), cached at
   // construction so EnterSyscall indexes it with no function call or lazy

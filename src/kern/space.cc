@@ -15,6 +15,25 @@ Space::~Space() {
   }
 }
 
+void Space::Teardown() {
+  // Moved out first: releasing an object must not observe a half-cleared
+  // table.
+  std::vector<std::shared_ptr<KernelObject>> doomed = std::move(handles_);
+  handles_.assign(1, nullptr);
+  free_slots_.clear();
+  live_handles_ = 0;
+  doomed.clear();
+  TlbFlushAll();
+  stats_ = nullptr;
+  for (auto& [page, pte] : pages_) {
+    if (pte.frame != kInvalidFrame) {
+      phys_->Unref(pte.frame);
+    }
+  }
+  pages_.clear();
+  ++pt_gen_;
+}
+
 Handle Space::Install(std::shared_ptr<KernelObject> obj) {
   ++live_handles_;
   // Reuse a dead slot if available; otherwise grow.
@@ -222,8 +241,11 @@ bool Space::CowBreak(uint32_t vaddr, Pte& pte) {
     // MapPage bumps pt_gen_, shoots down the TLB entry, unrefs the shared
     // frame and resets cow (Pte{} default). The other holder keeps its own
     // cow flag; its next write privatizes (or just clears, if it is by then
-    // the sole holder).
+    // the sole holder). The break can happen mid-burst (an interpreter write
+    // on the bus path), which EndUserBurst will not see as a generation
+    // change, so the interpreter's cache drops the page here.
     MapPage(vaddr, nf, pte.prot);
+    user_tlb_.DropPage(vaddr >> kPageShift);
     phys_->Unref(nf);  // MapPage took its own reference; drop Alloc's
   } else {
     // Sole holder already: nothing to copy. The translation itself is

@@ -25,6 +25,7 @@
 #include "src/kern/tlb.h"
 #include "src/mem/phys.h"
 #include "src/uvm/interp.h"
+#include "src/uvm/minitlb.h"
 
 namespace fluke {
 
@@ -188,12 +189,36 @@ class Space final : public KernelObject, public MemoryBus {
   PhysMemory* phys() const { return phys_; }
   size_t mapped_pages() const { return pages_.size(); }
 
-  // Page-table generation: bumped on every MapPage/UnmapPage. Callers that
-  // cache host pointers across potential suspension points (the IPC bulk
-  // copy) revalidate against this instead of re-translating; any mapping or
-  // protection change -- including by another thread while the caller was
-  // suspended -- changes the generation.
+  // Page-table generation: bumped on every MapPage/UnmapPage, and whenever
+  // cached host pointers must stop bypassing a hook (CkptMark,
+  // SetDirtyTracking, a lend narrowing the source page). Callers that cache
+  // host pointers across potential suspension points (the IPC bulk copy,
+  // the interpreter's MiniTlb) revalidate against this instead of
+  // re-translating; any mapping or protection change -- including by
+  // another thread while the caller was suspended -- changes the generation.
   uint64_t pt_gen() const { return pt_gen_; }
+
+  // --- Interpreter translation cache (src/uvm/minitlb.h) ---
+  // One MiniTlb for every burst of this space's threads, so entries survive
+  // kernel crossings. BeginUserBurst resets it only when pt_gen has moved
+  // since the last burst ended; EndUserBurst stamps the generation again
+  // (translation changes made inside a burst -- copy-on-write breaks -- are
+  // already reflected in the cache). A space's threads all run on its
+  // affinity home CPU, so one host thread at a time touches the cache.
+  interp_internal::MiniTlb* BeginUserBurst() {
+    if (user_tlb_gen_ != pt_gen_) {
+      user_tlb_.Reset();
+    }
+    return &user_tlb_;
+  }
+  void EndUserBurst() { user_tlb_gen_ = pt_gen_; }
+
+  // Kernel teardown: drops the handle table -- which holds this space
+  // itself (space_self) and the owners of its threads, ports and peers, so
+  // the cycle would otherwise keep everything alive -- and returns every
+  // frame to phys while phys still exists. The emptied space is inert and
+  // safe to destroy whenever its last owner lets go.
+  void Teardown();
 
   // Introspection for checkpointing and tests.
   const std::unordered_map<uint32_t, Pte>& page_table() const { return pages_; }
@@ -235,6 +260,11 @@ class Space final : public KernelObject, public MemoryBus {
   CkptSession* ckpt_session_ = nullptr;
   uint32_t ckpt_space_index_ = 0;
   bool dirty_track_ = false;
+
+  // The interpreter's persistent translation cache and the pt_gen it was
+  // last known to match (BeginUserBurst).
+  interp_internal::MiniTlb user_tlb_{this};
+  uint64_t user_tlb_gen_ = 0;
 
   // Translation cache. Mutable: filling it from a read path is caching, not
   // a semantic mutation of the space.

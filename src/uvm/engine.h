@@ -9,11 +9,12 @@
 //                arena; bit-identical to kSwitch, deopting to the switch
 //                core at block boundaries for anything non-straight-line.
 //
-// Engines degrade gracefully: kThreaded without computed-goto support runs
-// kSwitch; kJit on a host without executable pages (or a non-x86-64 build)
-// runs kThreaded with a one-time logged warning. Degradation never changes
-// observable execution -- only host speed and host-side jit_*/interp_*
-// counters.
+// kJit is the kernel's default (KernelConfig::interp_engine). Engines degrade
+// gracefully: kThreaded without computed-goto support runs kSwitch; kJit on
+// a host without executable pages (or a non-x86-64 build) runs kThreaded,
+// with a one-time logged warning only when kJit was asked for by name.
+// Degradation never changes observable execution -- only host speed and
+// host-side jit_*/interp_* counters.
 
 #ifndef SRC_UVM_ENGINE_H_
 #define SRC_UVM_ENGINE_H_

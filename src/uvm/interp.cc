@@ -22,7 +22,6 @@ namespace fluke {
 namespace {
 
 using interp_internal::MiniTlb;
-using interp_internal::RunUserSwitch;
 
 #if FLUKE_HAVE_THREADED_DISPATCH
 
@@ -47,7 +46,7 @@ using interp_internal::RunUserSwitch;
 // exactly the switch loop's counts. The sentinel entry and decode-time target validation replace
 // the per-instruction PC bounds check.
 RunResult RunUserThreaded(DecodedProgram& prog, UserRegisters* regs,
-                          MemoryBus* bus, uint64_t budget_cycles,
+                          MemoryBus* bus, uint64_t budget_cycles, MiniTlb& tlb,
                           uint64_t* block_charge_counter,
                           uint64_t* instr_counter) {
   RunResult result;
@@ -72,8 +71,6 @@ RunResult RunUserThreaded(DecodedProgram& prog, UserRegisters* regs,
   // mid-block un-charge subtracts a suffix of what block entry just added,
   // so neither half can carry or borrow across bit 32.
   uint64_t acct = 0;
-
-  MiniTlb tlb(bus);
 
   // Entry checks in the switch loop's order: budget first, then PC bounds.
   // pc == code_size enters at the sentinel, which reports kBadPc itself.
@@ -684,10 +681,11 @@ bool ThreadedDispatchCompiledIn() { return FLUKE_HAVE_THREADED_DISPATCH != 0; }
 namespace {
 
 // One warning per process, not per burst: the fallback is a performance
-// note, and the degraded engine is bit-identical anyway.
-void WarnJitFallbackOnce(const char* why) {
+// note, and the degraded engine is bit-identical anyway. Silent when the JIT
+// was only the default (opts.warn_jit_fallback clear).
+void WarnJitFallbackOnce(const InterpOptions& opts, const char* why) {
   static bool warned = false;
-  if (!warned) {
+  if (opts.warn_jit_fallback && !warned) {
     warned = true;
     std::fprintf(stderr,
                  "fluke: jit engine unavailable (%s); falling back to the "
@@ -699,14 +697,19 @@ void WarnJitFallbackOnce(const char* why) {
 }  // namespace
 
 RunResult RunUser(const Program& program, UserRegisters* regs, MemoryBus* bus,
-                  uint64_t budget_cycles, const InterpOptions& opts) {
+                  uint64_t budget_cycles, const InterpOptions& opts,
+                  MiniTlb* tlb) {
+  if (tlb == nullptr) {
+    MiniTlb cold(bus);
+    return RunUser(program, regs, bus, budget_cycles, opts, &cold);
+  }
   InterpEngine engine = opts.engine;
   if (engine == InterpEngine::kJit) {
     if (!JitCompiledIn()) {
-      WarnJitFallbackOnce("not compiled in on this target");
+      WarnJitFallbackOnce(opts, "not compiled in on this target");
       engine = InterpEngine::kThreaded;
     } else if (!JitAvailable()) {
-      WarnJitFallbackOnce("host refused executable pages");
+      WarnJitFallbackOnce(opts, "host refused executable pages");
       engine = InterpEngine::kThreaded;
     } else {
       JitProgram& jp = program.JitState();
@@ -715,10 +718,10 @@ RunResult RunUser(const Program& program, UserRegisters* regs, MemoryBus* bus,
       }
       if (jp.ready()) {
         return jit_internal::RunUserJit(program, jp, regs, bus, budget_cycles,
-                                        opts);
+                                        opts, *tlb);
       }
       if (jp.failed()) {
-        WarnJitFallbackOnce("host refused executable pages");
+        WarnJitFallbackOnce(opts, "host refused executable pages");
       }
       // Cold (or failed) program: the threaded engine is bit-identical, so
       // warm-up bursts cost nothing but the hotness count.
@@ -732,11 +735,13 @@ RunResult RunUser(const Program& program, UserRegisters* regs, MemoryBus* bus,
     if (fresh && opts.predecodes != nullptr) {
       ++*opts.predecodes;
     }
-    return RunUserThreaded(decoded, regs, bus, budget_cycles, opts.block_charges,
-                           opts.instructions);
+    return RunUserThreaded(decoded, regs, bus, budget_cycles, *tlb,
+                           opts.block_charges, opts.instructions);
   }
 #endif
-  return RunUserSwitch(program, regs, bus, budget_cycles, opts.instructions);
+  return interp_internal::RunUserSwitchCore(program, regs, bus, budget_cycles,
+                                            *tlb, /*acct_in=*/0,
+                                            opts.instructions);
 }
 
 }  // namespace fluke

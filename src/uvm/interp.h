@@ -18,6 +18,10 @@
 
 namespace fluke {
 
+namespace interp_internal {
+struct MiniTlb;  // minitlb.h
+}  // namespace interp_internal
+
 // A contiguous in-page run of directly addressable user memory, produced by
 // MemoryBus::TranslateSpan. `len == 0` (ptr null) means the span could not
 // be translated and the caller must fall back to the faulting word path.
@@ -73,11 +77,14 @@ struct RunResult {
 // runs compiled basic blocks from a per-program executable arena; it
 // requires an x86-64 build (JitCompiledIn()) and a host that grants
 // executable pages (JitAvailable()) -- otherwise it degrades to the
-// threaded engine with a one-time logged warning. All engines produce
-// bit-identical RunResults, register state and memory effects; the counters
-// are host-side observability only.
+// threaded engine, with a one-time logged warning when warn_jit_fallback is
+// set. All engines produce bit-identical RunResults, register state and
+// memory effects; the counters are host-side observability only.
 struct InterpOptions {
   InterpEngine engine = InterpEngine::kThreaded;
+  // Print the one-time note when engine == kJit cannot run. The kernel
+  // clears it when the JIT is merely the default, so that fallback is silent.
+  bool warn_jit_fallback = true;
   uint64_t* block_charges = nullptr;  // += 1 per whole-block cycle charge
   uint64_t* predecodes = nullptr;     // += 1 per program decode performed
   // += 1 per retired instruction. A semantic count, not an engine artifact:
@@ -107,9 +114,13 @@ bool JitCompiledIn();
 bool JitAvailable();
 
 // Executes at most `budget_cycles` worth of instructions of `program`
-// starting from regs->pc. Mutates `regs` in place.
+// starting from regs->pc. Mutates `regs` in place. `tlb` is the caller's
+// translation cache for `bus` (minitlb.h), kept warm across calls; the
+// caller guarantees its entries still match the bus's page table. Null runs
+// the burst on a cold cache of its own.
 RunResult RunUser(const Program& program, UserRegisters* regs, MemoryBus* bus,
-                  uint64_t budget_cycles, const InterpOptions& opts = {});
+                  uint64_t budget_cycles, const InterpOptions& opts = {},
+                  interp_internal::MiniTlb* tlb = nullptr);
 
 }  // namespace fluke
 

@@ -239,13 +239,5 @@ done:
   return result;
 }
 
-RunResult RunUserSwitch(const Program& program, UserRegisters* regs,
-                        MemoryBus* bus, uint64_t budget_cycles,
-                        uint64_t* instr_counter) {
-  MiniTlb tlb(bus);
-  return RunUserSwitchCore(program, regs, bus, budget_cycles, tlb,
-                           /*acct_in=*/0, instr_counter);
-}
-
 }  // namespace interp_internal
 }  // namespace fluke

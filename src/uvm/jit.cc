@@ -426,15 +426,18 @@ bool JitProgram::Compile(const Program& program, const InterpOptions& opts) {
   e.Push(R12); e.Push(R13); e.Push(R14); e.Push(R15);
   e.MovRR64(RBX, RDI);
   e.LoadRM64(RBP, RBX, kOffAcct);
+  e.LoadRM64(RAX, RBX, kOffGpr);
   for (int g = 0; g < 8; ++g) {
-    e.LoadRM32(kGprHost[g], RBX, kOffGpr + 4 * g);
+    e.LoadRM32(kGprHost[g], RAX, 4 * g);
   }
   e.JmpReg(RSI);
 
-  // --- Epilogue: materialize state into the frame, restore, return ---
+  // --- Epilogue: materialize state (registers in place, account in the
+  //     frame), restore, return ---
   e.Bind(epilogue_l);
+  e.LoadRM64(RAX, RBX, kOffGpr);  // rax is free: exit tails are done with it
   for (int g = 0; g < 8; ++g) {
-    e.StoreMR32(RBX, kOffGpr + 4 * g, kGprHost[g]);
+    e.StoreMR32(RAX, 4 * g, kGprHost[g]);
   }
   e.StoreMR64(RBX, kOffAcct, RBP);
   e.Pop(R15); e.Pop(R14); e.Pop(R13); e.Pop(R12);
@@ -710,7 +713,8 @@ namespace jit_internal {
 
 RunResult RunUserJit(const Program& program, const JitProgram& jp,
                      UserRegisters* regs, MemoryBus* bus,
-                     uint64_t budget_cycles, const InterpOptions& opts) {
+                     uint64_t budget_cycles, const InterpOptions& opts,
+                     interp_internal::MiniTlb& tlb) {
   RunResult result;
   // Mirror the switch loop's entry checks, in its order: a zero budget is
   // kBudget before the PC is even looked at; a PC past the sentinel is
@@ -725,9 +729,8 @@ RunResult RunUserJit(const Program& program, const JitProgram& jp,
     return result;
   }
 
-  interp_internal::MiniTlb tlb(bus);
   JitFrame f{};
-  std::memcpy(f.gpr, regs->gpr, sizeof(f.gpr));
+  f.gpr = regs->gpr;
   // The entry stubs compare the 32-bit cycle half of the account against
   // the budget's low dword; clamping keeps that compare exact (the kernel
   // caps bursts at 2^31 anyway). At the clamp edge a block merely deopts
@@ -736,7 +739,6 @@ RunResult RunUserJit(const Program& program, const JitProgram& jp,
   f.bus = bus;
   f.tlb = &tlb;
   jp.Enter(&f, pc);
-  std::memcpy(regs->gpr, f.gpr, sizeof(f.gpr));
   regs->pc = f.exit_pc;
   if (opts.jit_block_entries != nullptr) {
     *opts.jit_block_entries += f.block_entries;

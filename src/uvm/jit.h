@@ -63,7 +63,11 @@ enum JitExit : uint32_t {
 // instructions (offsetof in jit.cc), so this struct is standard layout and
 // append-only.
 struct JitFrame {
-  uint32_t gpr[8];            // in/out: uvm registers
+  // in/out: the caller's uvm registers, loaded at entry and stored back at
+  // every exit. Compiled code addresses them in place: staging them in the
+  // frame cost a memcpy each way, and copying eight 4-byte stores out with
+  // wide loads defeats store forwarding on every burst.
+  uint32_t* gpr;
   uint64_t acct;              // in/out: packed cycles|retires (predecode.h)
   uint64_t budget;            // in: burst budget, cycles
   uint64_t block_entries;     // out: compiled blocks entered (charged)
@@ -136,10 +140,11 @@ namespace jit_internal {
 
 // Executes one burst from compiled code, deopting into RunUserSwitchCore
 // when a block charge cannot fit the remaining budget. Requires
-// jp.ready(). Semantics identical to RunUserSwitch.
+// jp.ready(). Semantics identical to the switch engine on the same `tlb`.
 RunResult RunUserJit(const Program& program, const JitProgram& jp,
                      UserRegisters* regs, MemoryBus* bus,
-                     uint64_t budget_cycles, const InterpOptions& opts);
+                     uint64_t budget_cycles, const InterpOptions& opts,
+                     interp_internal::MiniTlb& tlb);
 
 }  // namespace jit_internal
 }  // namespace fluke

@@ -1,18 +1,25 @@
-// Interpreter-local translation cache, shared by both execution engines.
+// Interpreter translation cache, shared by all three execution engines.
 //
-// 16 direct-mapped entries per access direction, living on RunUser's host
-// stack. An entry is (page, host base pointer) obtained from
-// MemoryBus::TranslateSpan; hits cost an index, a compare and a memcpy --
-// no virtual call, no page-table walk.
+// 16 direct-mapped entries per access direction. An entry is (page, host
+// base pointer) obtained from MemoryBus::TranslateSpan; hits cost an index,
+// a compare and a memcpy -- no virtual call, no page-table walk.
 //
-// Why this needs no invalidation: entries live only for one RunUser call,
-// and nothing can change a translation while user instructions execute --
-// the page table is only mutated inside kernel entries (syscalls, faults,
-// host-side setup), all of which end the run. The next RunUser starts cold.
+// Lifetime. The kernel keeps one MiniTlb per address space (Space::
+// BeginUserBurst) and hands it to every RunUser call of that space's
+// threads, so entries survive kernel crossings. It is valid across bursts
+// because every page-table change between them bumps Space::pt_gen --
+// MapPage, UnmapPage, CkptMark, SetDirtyTracking and SharePageFrom all do --
+// and the space resets the cache at burst entry whenever the generation has
+// moved since the last burst ended. Inside a burst nothing but the cache's
+// own write fills can change a translation: a write fill may break
+// copy-on-write (IPC page lending), which FillWrite and Space::CowBreak
+// handle by dropping the page's entries. RunUser called without a cache
+// (tests, other MemoryBus implementations) builds a cold one on its stack.
 //
-// Shared by both engines (the portable switch loop and the threaded
-// dispatcher) so their bus access patterns -- and therefore the kernel's
-// tlb_* stats -- are identical instruction for instruction.
+// Shared by all engines (the portable switch loop, the threaded dispatcher
+// and the JIT's inlined probes and helpers) so their bus access patterns --
+// and therefore the kernel's tlb_* stats -- are identical instruction for
+// instruction.
 
 #ifndef SRC_UVM_MINITLB_H_
 #define SRC_UVM_MINITLB_H_
@@ -38,16 +45,38 @@ inline constexpr uint32_t kMiniTlbMask = kMiniTlbEntries - 1;
 inline constexpr uint32_t kNoPage = 0xFFFFFFFFu;  // vpns are < 2^20
 
 struct MiniTlb {
-  explicit MiniTlb(MemoryBus* bus) : bus_(bus) {
+  explicit MiniTlb(MemoryBus* bus) : bus_(bus) { Reset(); }
+
+  // disable default copy to keep the cached pointers from leaking across
+  // MiniTlb instances by accident; one instance per space (or per call).
+  MiniTlb(const MiniTlb&) = delete;
+  MiniTlb& operator=(const MiniTlb&) = delete;
+
+  // Forgets every translation (both directions, both last-page slots).
+  void Reset() {
+    r0page_ = w0page_ = kNoPage;
     for (uint32_t i = 0; i < kMiniTlbEntries; ++i) {
       rtag_[i] = wtag_[i] = kNoPage;
     }
   }
 
-  // disable default copy to keep the cached pointers from leaking across
-  // MiniTlb instances by accident; one instance per RunUser call.
-  MiniTlb(const MiniTlb&) = delete;
-  MiniTlb& operator=(const MiniTlb&) = delete;
+  // Forgets `page` in both directions (array entry AND last-page slot, which
+  // keeps the slot invariant below).
+  void DropPage(uint32_t page) {
+    const uint32_t idx = page & kMiniTlbMask;
+    if (rtag_[idx] == page) {
+      rtag_[idx] = kNoPage;
+    }
+    if (wtag_[idx] == page) {
+      wtag_[idx] = kNoPage;
+    }
+    if (r0page_ == page) {
+      r0page_ = kNoPage;
+    }
+    if (w0page_ == page) {
+      w0page_ = kNoPage;
+    }
+  }
 
   // Null means the access must take the faulting word/byte path on the bus.
   // A last-page slot (r0/w0) fronts the array: streaming loops touch the
@@ -102,14 +131,9 @@ struct MiniTlb {
     // A write translation can break copy-on-write (IPC page lending),
     // moving the page to a fresh frame mid-run -- the one exception to
     // "translations never change while user code executes". Drop any
-    // cached read pointer for the page (array entry AND last-page slot) so
-    // loads refill and see the run's own stores.
-    if (rtag_[page & kMiniTlbMask] == page) {
-      rtag_[page & kMiniTlbMask] = kNoPage;
-    }
-    if (r0page_ == page) {
-      r0page_ = kNoPage;
-    }
+    // cached read pointer for the page so loads refill and see the run's
+    // own stores.
+    DropPage(page);
     wtag_[page & kMiniTlbMask] = page;
     wbase_[page & kMiniTlbMask] = s.ptr;
     w0page_ = page;
@@ -128,7 +152,7 @@ struct MiniTlb {
   // the page against r0page_/w0page_ and indexes off r0base_/w0base_
   // directly, falling back to a helper that calls ReadBase/WriteBase on the
   // same instance -- so the bus sees the exact fill pattern the other two
-  // engines produce. Copying stays deleted; one instance per RunUser call.
+  // engines produce. Copying stays deleted.
   uint32_t r0page_ = kNoPage;
   uint32_t w0page_ = kNoPage;
   uint8_t* r0base_ = nullptr;
@@ -140,23 +164,18 @@ struct MiniTlb {
   MemoryBus* bus_;
 };
 
-// The portable fetch/decode/switch engine (interp_switch.cc). Kept in its
+// The portable fetch/decode/switch engine (interp_switch.cc), kept in its
 // own translation unit at the project's default optimization flags: it is
-// the reference semantics and the faithful pre-threading baseline, while
-// interp.cc carries interpreter-specific codegen flags that would otherwise
-// skew it.
-RunResult RunUserSwitch(const Program& program, UserRegisters* regs,
-                        MemoryBus* bus, uint64_t budget_cycles,
-                        uint64_t* instr_counter = nullptr);
-
-// Resumable form of the switch loop, used as the JIT's deopt target: picks
-// up mid-burst with an already-accumulated packed account (`acct_in`,
-// predecode.h layout) and the caller's MiniTlb, so a burst that started in
-// compiled code and fell back finishes with exactly the cycles, retired
-// instructions, register state and bus access pattern the switch engine
-// alone would have produced. The returned cycles and the instr_counter
-// increment cover the WHOLE burst (acct_in included), matching what RunUser
-// reports. RunUserSwitch is this with a cold tlb and acct_in == 0.
+// the reference semantics, while interp.cc carries interpreter-specific
+// codegen flags that would otherwise skew it. RunUser's kSwitch engine is
+// this with acct_in == 0. It is resumable, which makes it the JIT's deopt
+// target: it picks up mid-burst with an already-accumulated packed account
+// (`acct_in`, predecode.h layout) and the caller's MiniTlb, so a burst that
+// started in compiled code and fell back finishes with exactly the cycles,
+// retired instructions, register state and bus access pattern the switch
+// engine alone would have produced. The returned cycles and the
+// instr_counter increment cover the WHOLE burst (acct_in included),
+// matching what RunUser reports.
 RunResult RunUserSwitchCore(const Program& program, UserRegisters* regs,
                             MemoryBus* bus, uint64_t budget_cycles,
                             MiniTlb& tlb, uint64_t acct_in,

@@ -109,20 +109,6 @@ struct MachineState {
 
 constexpr uint32_t kMemSize = 64 * 1024;
 
-// Engines to compare: the switch reference always, the others when they are
-// compiled in / usable on this host (a jit entry also requires the host to
-// grant executable pages).
-std::vector<InterpEngine> TestEngines() {
-  std::vector<InterpEngine> engines = {InterpEngine::kSwitch};
-  if (ThreadedDispatchCompiledIn()) {
-    engines.push_back(InterpEngine::kThreaded);
-  }
-  if (JitCompiledIn() && JitAvailable()) {
-    engines.push_back(InterpEngine::kJit);
-  }
-  return engines;
-}
-
 // Runs `program` from a zeroed machine in bursts of `budget` cycles under
 // one engine, acting as a minimal kernel: budget exhaustion re-runs,
 // syscalls and breakpoints are stepped over (PC rests on the trapping

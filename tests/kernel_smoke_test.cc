@@ -176,5 +176,39 @@ TEST_P(SmokeTest, StatsCountSyscalls) {
 INSTANTIATE_TEST_SUITE_P(AllConfigs, SmokeTest, testing::ValuesIn(AllPaperConfigs()),
                          ConfigName);
 
+// Every space holds itself in its own handle table (space_self), and spaces
+// can hold each other; ~Kernel breaks those cycles, so what the kernel
+// created -- spaces, threads, programs and their JIT arenas -- is freed with
+// it.
+TEST_P(SmokeTest, SpacesAndProgramsDieWithTheKernel) {
+  std::weak_ptr<Space> space;
+  std::weak_ptr<const Program> program;
+  {
+    SimpleWorld w(GetParam());
+    Assembler a("loop");
+    a.MovImm(kRegSP, 0);
+    a.MovImm(kRegDI, 8);
+    const Assembler::Label loop = a.NewLabel();
+    a.Bind(loop);
+    EmitSys(a, kSysNull);  // re-entries at one PC make the program hot
+    a.AddImm(kRegSP, kRegSP, 1);
+    a.Bne(kRegSP, kRegDI, loop);
+    a.Halt();
+    ProgramRef p = a.Build();
+    program = p;
+    space = w.space;
+    w.Spawn(std::move(p));
+    (void)w.kernel.CreateThread(w.space.get());  // never started
+    auto peer = w.kernel.CreateSpace("peer");
+    w.kernel.Install(peer.get(), w.space);
+    w.kernel.Install(w.space.get(), peer);
+    w.kernel.Install(w.space.get(), w.kernel.NewPort(1));
+    w.RunAll();
+    EXPECT_FALSE(program.expired());
+  }
+  EXPECT_TRUE(space.expired()) << "space outlived its kernel";
+  EXPECT_TRUE(program.expired()) << "program outlived its kernel";
+}
+
 }  // namespace
 }  // namespace fluke

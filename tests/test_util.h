@@ -7,11 +7,13 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/api/abi.h"
 #include "src/api/ulib.h"
 #include "src/kern/config.h"
 #include "src/kern/kernel.h"
+#include "src/uvm/interp.h"
 
 namespace fluke {
 
@@ -46,6 +48,24 @@ struct SimpleWorld {
   Kernel kernel;
   std::shared_ptr<Space> space;
 };
+
+// Engines to compare: the switch reference always, the others when they are
+// compiled in / usable on this host (a jit entry also requires the host to
+// grant executable pages).
+inline std::vector<InterpEngine> TestEngines() {
+  std::vector<InterpEngine> engines = {InterpEngine::kSwitch};
+  if (ThreadedDispatchCompiledIn()) {
+    engines.push_back(InterpEngine::kThreaded);
+  }
+  if (JitCompiledIn() && JitAvailable()) {
+    engines.push_back(InterpEngine::kJit);
+  }
+  return engines;
+}
+
+inline std::string EngineName(const testing::TestParamInfo<InterpEngine>& info) {
+  return InterpEngineName(info.param);
+}
 
 // The five paper configurations, for parameterized suites.
 inline std::vector<KernelConfig> AllPaperConfigs() {

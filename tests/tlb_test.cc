@@ -12,6 +12,8 @@
 //      excepted, by definition).
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/workloads/checkpoint.h"
@@ -438,6 +440,179 @@ TEST_P(TlbDeterminismTest, VirtualTimeAndStatsIdenticalTlbOnOff) {
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, TlbDeterminismTest,
                          testing::ValuesIn(AllPaperConfigs()), ConfigName);
+
+// --- The interpreter's persistent MiniTlb (src/uvm/minitlb.h) ---
+//
+// Each space keeps one MiniTlb warm across kernel crossings and resets it
+// only when Space::pt_gen moved since the last burst ended. These cases
+// change a translation (or a hook it must not bypass) between two bursts
+// that write the same page, and check the second write still takes the
+// bus path, on every engine.
+
+uint32_t WordAt(const Space& s, uint32_t vaddr) {
+  uint32_t v = 0;
+  EXPECT_TRUE(s.HostRead(vaddr, &v, 4));
+  return v;
+}
+
+class PersistentMiniTlbTest : public testing::TestWithParam<InterpEngine> {
+ protected:
+  void SetUp() override {
+    KernelConfig cfg;
+    cfg.interp_engine = GetParam();
+    k_ = std::make_unique<Kernel>(cfg);
+    s_ = k_->CreateSpace("writer");
+    ASSERT_NE(s_->ProvidePage(kVaddr), kInvalidFrame);
+    // Each round stores the round number at kVaddr and stops on a break;
+    // the host acts on the page table between rounds.
+    Assembler a("rounds");
+    a.MovImm(kRegC, kVaddr);
+    const Assembler::Label loop = a.NewLabel();
+    a.Bind(loop);
+    a.AddImm(kRegB, kRegB, 1);
+    a.StoreW(kRegB, kRegC, 0);
+    a.Break();
+    a.Jmp(loop);
+    t_ = k_->CreateThread(s_.get(), a.Build());
+    // Enough rounds for the JIT to compile (the break's resume PC turns
+    // hot) and for the space's cache to hold a write translation.
+    for (uint32_t i = 1; i <= 4; ++i) {
+      Round();
+      ASSERT_EQ(WordAt(*s_, kVaddr), i);
+    }
+  }
+
+  void TearDown() override {
+    if (GetParam() == InterpEngine::kJit) {
+      EXPECT_GT(k_->stats.jit_block_entries, 0u) << "the JIT never ran";
+    }
+  }
+
+  // Runs the thread up to its next break.
+  void Round() {
+    k_->StartThread(t_);
+    ASSERT_TRUE(k_->RunUntilQuiescent(kNsPerMs));
+    ASSERT_EQ(t_->run_state, ThreadRun::kStopped);
+  }
+
+  // Marks every page of the writer for a capture (a delta marks only dirty
+  // ones); returns the pages marked.
+  size_t Mark(CkptSession* session, bool delta) {
+    session->spaces.resize(1);
+    session->spaces[0].space = s_.get();
+    s_->CkptAttach(session, 0);
+    return s_->CkptMark(delta);
+  }
+
+  std::unique_ptr<Kernel> k_;
+  std::shared_ptr<Space> s_;
+  Thread* t_ = nullptr;
+};
+
+TEST_P(PersistentMiniTlbTest, CheckpointMarkBetweenBurstsSavesOnNextWrite) {
+  CkptSession session;
+  ASSERT_EQ(Mark(&session, /*delta=*/false), 1u);
+  Round();  // stores 5 over the marked page
+  EXPECT_EQ(session.cow_saves, 1u) << "write bypassed save-on-write";
+  const CkptPage& rec = session.spaces[0].pages[0];
+  ASSERT_TRUE(rec.captured);
+  uint32_t saved = 0;
+  std::memcpy(&saved, rec.data.data(), 4);
+  EXPECT_EQ(saved, 4u) << "image holds post-mark contents";
+  EXPECT_EQ(WordAt(*s_, kVaddr), 5u);
+  s_->CkptDetach();
+}
+
+TEST_P(PersistentMiniTlbTest, DirtyTrackingBetweenBurstsMarksNextWrite) {
+  s_->SetDirtyTracking();
+  CkptSession first;
+  ASSERT_EQ(Mark(&first, /*delta=*/true), 1u);
+  s_->CkptCapturePage(first.spaces[0].pages[0]);
+  s_->CkptDetach();
+  ASSERT_FALSE(s_->FindPte(kVaddr)->dirty);
+  Round();
+  EXPECT_TRUE(s_->FindPte(kVaddr)->dirty) << "write bypassed the dirty hook";
+  CkptSession second;
+  EXPECT_EQ(Mark(&second, /*delta=*/true), 1u) << "delta missed the write";
+  s_->CkptDetach();
+}
+
+TEST_P(PersistentMiniTlbTest, LendFromWriterBetweenBurstsBreaksCowOnNextWrite) {
+  auto peer = k_->CreateSpace("peer");
+  ASSERT_NE(peer->ProvidePage(kVaddr), kInvalidFrame);
+  // The writer's page becomes the source of a lend: its frame is now shared
+  // copy-on-write, and the writer's cached write translation must go.
+  ASSERT_TRUE(peer->SharePageFrom(*s_, kVaddr, kVaddr));
+  ASSERT_TRUE(s_->FindPte(kVaddr)->cow);
+  Round();
+  EXPECT_EQ(WordAt(*s_, kVaddr), 5u);
+  EXPECT_EQ(WordAt(*peer, kVaddr), 4u) << "write leaked into the borrower";
+  EXPECT_FALSE(s_->FindPte(kVaddr)->cow);
+}
+
+TEST_P(PersistentMiniTlbTest, LendToWriterBetweenBurstsBreaksCowOnNextWrite) {
+  auto peer = k_->CreateSpace("peer");
+  const uint32_t pat = 0xA5A5A5A5u;
+  ASSERT_TRUE(peer->HostWrite(kVaddr, &pat, 4));
+  // The writer's page is replaced by the peer's frame: the cached write
+  // pointer now names a frame the writer no longer maps.
+  ASSERT_TRUE(s_->SharePageFrom(*peer, kVaddr, kVaddr));
+  EXPECT_EQ(WordAt(*s_, kVaddr), pat);
+  Round();
+  EXPECT_EQ(WordAt(*s_, kVaddr), 5u);
+  EXPECT_EQ(WordAt(*peer, kVaddr), pat) << "write leaked into the lender";
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, PersistentMiniTlbTest,
+                         testing::ValuesIn(TestEngines()), EngineName);
+
+// A null-syscall loop touching one page: every iteration is a kernel
+// crossing, but the page table never moves, so the space's cache fills
+// once instead of once per burst. Virtual time, instructions and even the
+// tlb_* counters are identical across engines.
+TEST(PersistentMiniTlb, NullSyscallLoopFillsOnceOnEveryEngine) {
+  constexpr uint32_t kIters = 1000;
+  struct Outcome {
+    Time end = 0;
+    KernelStats stats;
+  };
+  std::vector<Outcome> runs;
+  for (InterpEngine engine : TestEngines()) {
+    SCOPED_TRACE(InterpEngineName(engine));
+    KernelConfig cfg;
+    cfg.interp_engine = engine;
+    SimpleWorld w(cfg);
+    ASSERT_NE(w.space->ProvidePage(kVaddr), kInvalidFrame);
+    Assembler a("nullloop");
+    a.MovImm(kRegSI, kVaddr);
+    a.MovImm(kRegDI, kIters);
+    a.MovImm(kRegSP, 0);
+    const Assembler::Label loop = a.NewLabel();
+    a.Bind(loop);
+    a.LoadW(kRegBP, kRegSI, 0);
+    a.AddImm(kRegBP, kRegBP, 1);
+    a.StoreW(kRegBP, kRegSI, 0);
+    EmitSys(a, kSysNull);
+    a.AddImm(kRegSP, kRegSP, 1);
+    a.Bne(kRegSP, kRegDI, loop);
+    a.Halt();
+    Thread* t = w.Spawn(a.Build());
+    w.RunAll();
+    ASSERT_EQ(t->run_state, ThreadRun::kDead);
+    EXPECT_EQ(WordAt(*w.space, kVaddr), kIters);
+    EXPECT_GE(w.kernel.stats.syscalls, kIters);
+    // A cold cache per burst would pay two fills per iteration.
+    EXPECT_LT(w.kernel.stats.tlb_hits + w.kernel.stats.tlb_misses, kIters / 10);
+    runs.push_back({w.kernel.clock.now(), w.kernel.stats});
+  }
+  for (size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].end, runs[0].end);
+    EXPECT_EQ(runs[i].stats.user_instructions, runs[0].stats.user_instructions);
+    EXPECT_EQ(runs[i].stats.syscalls, runs[0].stats.syscalls);
+    EXPECT_EQ(runs[i].stats.tlb_hits, runs[0].stats.tlb_hits);
+    EXPECT_EQ(runs[i].stats.tlb_misses, runs[0].stats.tlb_misses);
+  }
+}
 
 }  // namespace
 }  // namespace fluke

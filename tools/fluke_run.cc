@@ -6,10 +6,11 @@
 // Each file becomes one thread (all in one space, sharing memory). Options:
 //   --model=process|interrupt     execution model        (default process)
 //   --preempt=np|pp|fp            preemption mode        (default np)
-//   --engine=switch|threaded|jit  interpreter engine     (default threaded).
-//                                 All three are bit-identical; jit falls back
-//                                 to threaded (with a warning) on hosts that
-//                                 refuse executable pages
+//   --engine=switch|threaded|jit  interpreter engine     (default jit).
+//                                 All three are bit-identical; jit runs cold
+//                                 programs on threaded, and falls back to it
+//                                 on hosts that refuse executable pages
+//                                 (warning only when --engine=jit is given)
 //   --cpus=N                      simulated CPUs (default 1). N > 1 runs the
 //                                 per-CPU epoch dispatcher; the rpc and c1m
 //                                 workloads shard across the CPUs
@@ -58,6 +59,12 @@
 //                                 threads against a portset server pool;
 //                                 default 1000); --stats adds bytes/thread
 //                                 and wakeups/sec
+//   --workload=memtest|flukeperf|gcc
+//                                 run one Table 5 application at paper scale
+//                                 in a kernel of its own (bench/table5_apps
+//                                 runs all three over the five configs);
+//                                 prints its virtual time and counts, exits
+//                                 3 if it did not complete
 //   --ps                          dump thread/space state at exit
 //   --fault-plan=SPEC             arm deterministic fault injection, e.g.
 //                                 "seed=7,frame-every=3,crash=100" (see
@@ -116,12 +123,13 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: fluke_run [--model=process|interrupt] [--preempt=np|pp|fp]\n"
-               "                 [--engine=switch|threaded|jit] [--cpus=N] [--mp-serial]\n"
+               "                 [--engine=jit|threaded|switch (default jit)] [--cpus=N] [--mp-serial]\n"
                "                 [--anon=BYTES] [--max-ms=N] [--paged] [--stats] [--trace] [--ps]\n"
                "                 [--stats-json=FILE] [--trace-out=FILE] [--trace-bin=FILE]\n"
                "                 [--trace-cap=N] [--flight-recorder[=N]] [--flight-out=PREFIX]\n"
                "                 [--req-report] [--metrics-out=FILE] [--metrics-every=NS]\n"
                "                 [--profile] [--workload=rpc[:N]] [--workload=c1m[:N]]\n"
+               "                 [--workload=memtest|flukeperf|gcc]\n"
                "                 [--fault-plan=SPEC] [--audit]\n"
                "                 [--ckpt-every=MS] [--ckpt-dir=DIR] [--ckpt-delta]\n"
                "                 [--restore=DIR]\n"
@@ -233,6 +241,7 @@ int Main(int argc, char** argv) {
   uint32_t rpc_rounds = 200;
   bool workload_c1m = false;
   uint32_t c1m_clients = 1000;
+  std::string workload_app;  // a Table 5 application, when set
   uint64_t ckpt_every_ms = 0;
   std::string ckpt_dir = "ckpt";
   bool ckpt_delta = false;
@@ -253,10 +262,13 @@ int Main(int argc, char** argv) {
       cfg.preempt = PreemptMode::kFull;
     } else if (arg == "--engine=switch") {
       cfg.interp_engine = InterpEngine::kSwitch;
+      cfg.engine_explicit = true;
     } else if (arg == "--engine=threaded") {
       cfg.interp_engine = InterpEngine::kThreaded;
+      cfg.engine_explicit = true;
     } else if (arg == "--engine=jit") {
       cfg.interp_engine = InterpEngine::kJit;
+      cfg.engine_explicit = true;
     } else if (arg.rfind("--engine=", 0) == 0) {
       std::fprintf(stderr, "fluke_run: unknown engine '%s'\n", arg.c_str() + 9);
       return 2;
@@ -312,6 +324,8 @@ int Main(int argc, char** argv) {
         if (spec.size() > 3 && spec[3] == ':') {
           c1m_clients = static_cast<uint32_t>(std::stoul(spec.substr(4), nullptr, 0));
         }
+      } else if (spec == "memtest" || spec == "flukeperf" || spec == "gcc") {
+        workload_app = spec;
       } else {
         std::fprintf(stderr, "fluke_run: unknown workload '%s'\n", spec.c_str());
         return 2;
@@ -337,7 +351,7 @@ int Main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (files.empty() && !audit && !workload_rpc && !workload_c1m) {
+  if (files.empty() && !audit && !workload_rpc && !workload_c1m && workload_app.empty()) {
     return Usage();
   }
   if (!cfg.Valid()) {
@@ -351,6 +365,22 @@ int Main(int argc, char** argv) {
   if (metrics_every_ns == 0) {
     std::fprintf(stderr, "fluke_run: --metrics-every must be > 0\n");
     return 2;
+  }
+
+  if (!workload_app.empty()) {
+    const AppResult r = workload_app == "memtest"     ? RunMemtest(cfg)
+                        : workload_app == "flukeperf" ? RunFlukeperf(cfg)
+                                                      : RunGcc(cfg);
+    std::printf("%s [%s, %s engine]: %s, virtual time %.3f ms | %llu syscalls | "
+                "%llu context switches | %llu instrs\n",
+                workload_app.c_str(), cfg.Label().c_str(),
+                InterpEngineName(cfg.EffectiveEngine()),
+                r.completed ? "completed" : "INCOMPLETE",
+                static_cast<double>(r.elapsed_ns) / kNsPerMs,
+                static_cast<unsigned long long>(r.stats.syscalls),
+                static_cast<unsigned long long>(r.stats.context_switches),
+                static_cast<unsigned long long>(r.stats.user_instructions));
+    return r.completed ? 0 : 3;
   }
 
   if (audit) {
